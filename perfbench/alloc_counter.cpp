@@ -1,0 +1,54 @@
+// Counting global operator new/delete: every heap allocation the process
+// makes through C++ new is counted, so a run can report allocations per
+// operation as an exact count. Linked into the perfbench binaries only.
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+#include "harness.h"
+
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_alloc(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+
+void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const auto alignment = static_cast<std::size_t>(align);
+  const std::size_t rounded = (size + alignment - 1) / alignment * alignment;
+  if (void* p = std::aligned_alloc(alignment, rounded ? rounded : alignment))
+    return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+namespace perfbench {
+std::uint64_t allocations() {
+  return g_allocations.load(std::memory_order_relaxed);
+}
+}  // namespace perfbench
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return counted_aligned_alloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return counted_aligned_alloc(size, align);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
