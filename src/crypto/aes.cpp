@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "crypto/hmac.h"
-
 namespace lateral::crypto {
 namespace {
 
@@ -32,12 +30,34 @@ constexpr std::uint8_t kSbox[256] = {
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f,
     0xb0, 0x54, 0xbb, 0x16};
 
+
 constexpr std::uint8_t kRcon[10] = {0x01, 0x02, 0x04, 0x08, 0x10,
                                     0x20, 0x40, 0x80, 0x1b, 0x36};
 
-std::uint8_t xtime(std::uint8_t x) {
+constexpr std::uint8_t xtime(std::uint8_t x) {
   return static_cast<std::uint8_t>((x << 1) ^ ((x & 0x80) ? 0x1b : 0x00));
 }
+
+// T-tables: kTe[0][x] is the MixColumns column (2s, s, s, 3s) of s = S(x),
+// packed big-endian; kTe[r] is kTe[0] rotated right by 8r bits and serves
+// the byte that ShiftRows brings into row r.
+using TTables = std::array<std::array<std::uint32_t, 256>, 4>;
+
+constexpr TTables make_t_tables() {
+  TTables te{};
+  for (int x = 0; x < 256; ++x) {
+    const std::uint8_t s = kSbox[x];
+    const std::uint8_t s2 = xtime(s);
+    const std::uint8_t s3 = static_cast<std::uint8_t>(s2 ^ s);
+    te[0][x] = (std::uint32_t(s2) << 24) | (std::uint32_t(s) << 16) |
+               (std::uint32_t(s) << 8) | std::uint32_t(s3);
+    for (int r = 1; r < 4; ++r)
+      te[r][x] = (te[r - 1][x] >> 8) | (te[r - 1][x] << 24);
+  }
+  return te;
+}
+
+constexpr TTables kTe = make_t_tables();
 
 std::uint32_t sub_word(std::uint32_t w) {
   return (std::uint32_t(kSbox[(w >> 24) & 0xFF]) << 24) |
@@ -48,15 +68,46 @@ std::uint32_t sub_word(std::uint32_t w) {
 
 std::uint32_t rot_word(std::uint32_t w) { return (w << 8) | (w >> 24); }
 
+std::uint32_t load_be32(const std::uint8_t* p) {
+  return (std::uint32_t(p[0]) << 24) | (std::uint32_t(p[1]) << 16) |
+         (std::uint32_t(p[2]) << 8) | std::uint32_t(p[3]);
+}
+
+void store_be32(std::uint8_t* p, std::uint32_t w) {
+  p[0] = static_cast<std::uint8_t>(w >> 24);
+  p[1] = static_cast<std::uint8_t>(w >> 16);
+  p[2] = static_cast<std::uint8_t>(w >> 8);
+  p[3] = static_cast<std::uint8_t>(w);
+}
+
+// One output column of rounds 1-9: SubBytes, ShiftRows and MixColumns as
+// four table lookups. Column c takes row r from input column c + r.
+std::uint32_t t_round(std::uint32_t a, std::uint32_t b, std::uint32_t c,
+                      std::uint32_t d, std::uint32_t round_key) {
+  return kTe[0][a >> 24] ^ kTe[1][(b >> 16) & 0xFF] ^
+         kTe[2][(c >> 8) & 0xFF] ^ kTe[3][d & 0xFF] ^ round_key;
+}
+
+// One output column of round 10: SubBytes and ShiftRows only.
+std::uint32_t final_round(std::uint32_t a, std::uint32_t b, std::uint32_t c,
+                          std::uint32_t d, std::uint32_t round_key) {
+  return sub_word((a & 0xFF000000) | (b & 0x00FF0000) | (c & 0x0000FF00) |
+                  (d & 0x000000FF)) ^
+         round_key;
+}
+
+std::array<std::uint8_t, 48> aead_keys(BytesView key_material) {
+  const Bytes keys = hkdf(to_bytes("lateral.aead.v1"), key_material,
+                          to_bytes("enc+mac"), 48);
+  std::array<std::uint8_t, 48> out;
+  std::memcpy(out.data(), keys.data(), out.size());
+  return out;
+}
+
 }  // namespace
 
 Aes128::Aes128(const Aes128Key& key) {
-  for (int i = 0; i < 4; ++i) {
-    round_keys_[i] = (std::uint32_t(key[4 * i]) << 24) |
-                     (std::uint32_t(key[4 * i + 1]) << 16) |
-                     (std::uint32_t(key[4 * i + 2]) << 8) |
-                     std::uint32_t(key[4 * i + 3]);
-  }
+  for (int i = 0; i < 4; ++i) round_keys_[i] = load_be32(&key[4 * i]);
   for (int i = 4; i < 44; ++i) {
     std::uint32_t temp = round_keys_[i - 1];
     if (i % 4 == 0)
@@ -66,64 +117,40 @@ Aes128::Aes128(const Aes128Key& key) {
 }
 
 void Aes128::encrypt_block(AesBlock& block) const {
-  std::uint8_t s[16];
-  std::memcpy(s, block.data(), 16);
-
-  auto add_round_key = [&](int round) {
-    for (int c = 0; c < 4; ++c) {
-      const std::uint32_t rk = round_keys_[4 * round + c];
-      s[4 * c] ^= static_cast<std::uint8_t>(rk >> 24);
-      s[4 * c + 1] ^= static_cast<std::uint8_t>(rk >> 16);
-      s[4 * c + 2] ^= static_cast<std::uint8_t>(rk >> 8);
-      s[4 * c + 3] ^= static_cast<std::uint8_t>(rk);
-    }
-  };
-  auto sub_bytes = [&] {
-    for (auto& b : s) b = kSbox[b];
-  };
-  auto shift_rows = [&] {
-    std::uint8_t t[16];
-    std::memcpy(t, s, 16);
-    for (int r = 1; r < 4; ++r)
-      for (int c = 0; c < 4; ++c) s[4 * c + r] = t[4 * ((c + r) % 4) + r];
-  };
-  auto mix_columns = [&] {
-    for (int c = 0; c < 4; ++c) {
-      std::uint8_t* col = &s[4 * c];
-      const std::uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-      col[0] = static_cast<std::uint8_t>(xtime(a0) ^ (xtime(a1) ^ a1) ^ a2 ^ a3);
-      col[1] = static_cast<std::uint8_t>(a0 ^ xtime(a1) ^ (xtime(a2) ^ a2) ^ a3);
-      col[2] = static_cast<std::uint8_t>(a0 ^ a1 ^ xtime(a2) ^ (xtime(a3) ^ a3));
-      col[3] = static_cast<std::uint8_t>((xtime(a0) ^ a0) ^ a1 ^ a2 ^ xtime(a3));
-    }
-  };
-
-  add_round_key(0);
+  const std::uint32_t* rk = round_keys_.data();
+  std::uint32_t s0 = load_be32(&block[0]) ^ rk[0];
+  std::uint32_t s1 = load_be32(&block[4]) ^ rk[1];
+  std::uint32_t s2 = load_be32(&block[8]) ^ rk[2];
+  std::uint32_t s3 = load_be32(&block[12]) ^ rk[3];
   for (int round = 1; round < 10; ++round) {
-    sub_bytes();
-    shift_rows();
-    mix_columns();
-    add_round_key(round);
+    rk += 4;
+    const std::uint32_t t0 = t_round(s0, s1, s2, s3, rk[0]);
+    const std::uint32_t t1 = t_round(s1, s2, s3, s0, rk[1]);
+    const std::uint32_t t2 = t_round(s2, s3, s0, s1, rk[2]);
+    const std::uint32_t t3 = t_round(s3, s0, s1, s2, rk[3]);
+    s0 = t0;
+    s1 = t1;
+    s2 = t2;
+    s3 = t3;
   }
-  sub_bytes();
-  shift_rows();
-  add_round_key(10);
-
-  std::memcpy(block.data(), s, 16);
+  rk += 4;
+  store_be32(&block[0], final_round(s0, s1, s2, s3, rk[0]));
+  store_be32(&block[4], final_round(s1, s2, s3, s0, rk[1]));
+  store_be32(&block[8], final_round(s2, s3, s0, s1, rk[2]));
+  store_be32(&block[12], final_round(s3, s0, s1, s2, rk[3]));
 }
 
-Bytes aes128_ctr(const Aes128Key& key, std::uint64_t nonce, BytesView data) {
-  const Aes128 cipher(key);
+Bytes aes128_ctr(const Aes128& cipher, std::uint64_t nonce, BytesView data) {
   Bytes out(data.begin(), data.end());
   AesBlock counter_block{};
-  for (int i = 0; i < 8; ++i)
-    counter_block[i] = static_cast<std::uint8_t>(nonce >> (56 - 8 * i));
+  store_be32(&counter_block[0], static_cast<std::uint32_t>(nonce >> 32));
+  store_be32(&counter_block[4], static_cast<std::uint32_t>(nonce));
 
   std::uint64_t counter = 0;
   for (std::size_t offset = 0; offset < out.size(); offset += 16) {
     AesBlock keystream = counter_block;
-    for (int i = 0; i < 8; ++i)
-      keystream[8 + i] = static_cast<std::uint8_t>(counter >> (56 - 8 * i));
+    store_be32(&keystream[8], static_cast<std::uint32_t>(counter >> 32));
+    store_be32(&keystream[12], static_cast<std::uint32_t>(counter));
     cipher.encrypt_block(keystream);
     const std::size_t n = std::min<std::size_t>(16, out.size() - offset);
     for (std::size_t i = 0; i < n; ++i) out[offset + i] ^= keystream[i];
@@ -132,17 +159,16 @@ Bytes aes128_ctr(const Aes128Key& key, std::uint64_t nonce, BytesView data) {
   return out;
 }
 
-Aead::Aead(BytesView key_material) {
-  const Bytes keys = hkdf(to_bytes("lateral.aead.v1"), key_material,
-                          to_bytes("enc+mac"), 48);
-  std::memcpy(enc_key_.data(), keys.data(), 16);
-  mac_key_.assign(keys.begin() + 16, keys.end());
-}
+Aead::Aead(BytesView key_material) : Aead(aead_keys(key_material)) {}
+
+Aead::Aead(const std::array<std::uint8_t, 48>& keys)
+    : cipher_(*key_from_bytes(keys)),
+      mac_(BytesView(keys.data() + 16, keys.size() - 16)) {}
 
 std::array<std::uint8_t, 16> Aead::compute_tag(std::uint64_t nonce,
                                                BytesView aad,
                                                BytesView ciphertext) const {
-  Hmac mac(mac_key_);
+  Hmac mac = mac_;
   std::uint8_t nonce_be[8];
   for (int i = 0; i < 8; ++i)
     nonce_be[i] = static_cast<std::uint8_t>(nonce >> (56 - 8 * i));
@@ -165,7 +191,7 @@ SealedBox Aead::seal(std::uint64_t nonce, BytesView aad,
                      BytesView plaintext) const {
   SealedBox box;
   box.nonce = nonce;
-  box.ciphertext = aes128_ctr(enc_key_, nonce, plaintext);
+  box.ciphertext = aes128_ctr(cipher_, nonce, plaintext);
   box.tag = compute_tag(nonce, aad, box.ciphertext);
   return box;
 }
@@ -175,7 +201,7 @@ Result<Bytes> Aead::open(const SealedBox& box, BytesView aad) const {
   if (!ct_equal(BytesView(expected.data(), expected.size()),
                 BytesView(box.tag.data(), box.tag.size())))
     return Errc::verification_failed;
-  return aes128_ctr(enc_key_, box.nonce, box.ciphertext);
+  return aes128_ctr(cipher_, box.nonce, box.ciphertext);
 }
 
 Result<Aes128Key> key_from_bytes(BytesView material) {

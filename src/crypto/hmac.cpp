@@ -13,7 +13,7 @@ std::array<std::uint8_t, 64> normalize_key(BytesView key) {
     const Digest d = Sha256::hash(key);
     std::memcpy(block.data(), d.data(), d.size());
   } else {
-    std::memcpy(block.data(), key.data(), key.size());
+    std::copy(key.begin(), key.end(), block.begin());  // key may be empty
   }
   return block;
 }
@@ -23,21 +23,21 @@ std::array<std::uint8_t, 64> normalize_key(BytesView key) {
 Hmac::Hmac(BytesView key) {
   const auto block = normalize_key(key);
   std::array<std::uint8_t, 64> ipad;
+  std::array<std::uint8_t, 64> opad;
   for (int i = 0; i < 64; ++i) {
     ipad[i] = block[i] ^ 0x36;
-    opad_key_[i] = block[i] ^ 0x5c;
+    opad[i] = block[i] ^ 0x5c;
   }
   inner_.update(BytesView(ipad.data(), ipad.size()));
+  outer_.update(BytesView(opad.data(), opad.size()));
 }
 
 void Hmac::update(BytesView data) { inner_.update(data); }
 
 Digest Hmac::finish() {
   const Digest inner_digest = inner_.finish();
-  Sha256 outer;
-  outer.update(BytesView(opad_key_.data(), opad_key_.size()));
-  outer.update(digest_view(inner_digest));
-  return outer.finish();
+  outer_.update(digest_view(inner_digest));
+  return outer_.finish();
 }
 
 Digest hmac_sha256(BytesView key, BytesView message) {
@@ -54,10 +54,11 @@ Bytes hkdf_expand(const Digest& prk, BytesView info, std::size_t length) {
   if (length > 255 * 32) throw Error("hkdf_expand: length too large");
   Bytes out;
   out.reserve(length);
+  const Hmac keyed(digest_view(prk));
   Bytes t;
   std::uint8_t counter = 1;
   while (out.size() < length) {
-    Hmac ctx(digest_view(prk));
+    Hmac ctx = keyed;
     ctx.update(t);
     ctx.update(info);
     ctx.update(BytesView(&counter, 1));
@@ -109,8 +110,11 @@ void HmacDrbg::update_state(BytesView provided) {
 Bytes HmacDrbg::generate(std::size_t n) {
   Bytes out;
   out.reserve(n);
+  const Hmac keyed(key_);
   while (out.size() < n) {
-    const Digest v = hmac_sha256(key_, v_);
+    Hmac ctx = keyed;
+    ctx.update(v_);
+    const Digest v = ctx.finish();
     v_.assign(v.begin(), v.end());
     const std::size_t take = std::min<std::size_t>(32, n - out.size());
     out.insert(out.end(), v_.begin(), v_.begin() + static_cast<long>(take));

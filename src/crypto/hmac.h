@@ -13,16 +13,19 @@ namespace lateral::crypto {
 /// One-shot HMAC-SHA256.
 Digest hmac_sha256(BytesView key, BytesView message);
 
-/// Incremental HMAC context.
+/// Incremental HMAC context. Keying hashes the ipad and opad blocks once;
+/// a keyed Hmac is a prototype that callers copy per message, so a reused
+/// key costs no more compressions than the message itself needs.
 class Hmac {
  public:
   explicit Hmac(BytesView key);
   void update(BytesView data);
+  /// Finalize; like Sha256, a context (or copy) is finished only once.
   Digest finish();
 
  private:
-  Sha256 inner_;
-  std::array<std::uint8_t, 64> opad_key_;
+  Sha256 inner_;  // after the ipad block, then the message
+  Sha256 outer_;  // after the opad block
 };
 
 /// HKDF-Extract: PRK = HMAC(salt, ikm).

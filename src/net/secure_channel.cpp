@@ -5,6 +5,15 @@
 namespace lateral::net {
 namespace {
 
+// Record AAD: the sending direction, so a record cannot be reflected back.
+constexpr std::uint8_t kInitiatorToResponder[] = {'i', '2', 'r'};
+constexpr std::uint8_t kResponderToInitiator[] = {'r', '2', 'i'};
+
+BytesView direction_aad(bool from_initiator) {
+  return from_initiator ? BytesView(kInitiatorToResponder)
+                        : BytesView(kResponderToInitiator);
+}
+
 void append_blob(Bytes& out, BytesView blob) {
   for (int i = 3; i >= 0; --i)
     out.push_back(static_cast<std::uint8_t>(blob.size() >> (8 * i)));
@@ -212,10 +221,11 @@ Result<Bytes> SecureChannelEndpoint::seal_record(BytesView plaintext) {
   const std::uint64_t nonce =
       (send_seq_ << 1) | (role_ == Role::responder ? 1 : 0);
   ++send_seq_;
-  const Bytes aad = to_bytes(role_ == Role::initiator ? "i2r" : "r2i");
-  const crypto::SealedBox box = aead_->seal(nonce, aad, plaintext);
+  const crypto::SealedBox box = aead_->seal(
+      nonce, direction_aad(role_ == Role::initiator), plaintext);
 
   Bytes wire;
+  wire.reserve(24 + plaintext.size());
   for (int i = 7; i >= 0; --i)
     wire.push_back(static_cast<std::uint8_t>(box.nonce >> (8 * i)));
   wire.insert(wire.end(), box.tag.begin(), box.tag.end());
@@ -238,8 +248,7 @@ Result<Bytes> SecureChannelEndpoint::open_record(BytesView wire) {
       (recv_seq_ << 1) | (role_ == Role::initiator ? 1 : 0);
   if (box.nonce != expected_nonce) return Errc::verification_failed;
 
-  const Bytes aad = to_bytes(role_ == Role::initiator ? "r2i" : "i2r");
-  auto plain = aead_->open(box, aad);
+  auto plain = aead_->open(box, direction_aad(role_ == Role::responder));
   if (!plain) return Errc::verification_failed;
   ++recv_seq_;
   return std::move(*plain);

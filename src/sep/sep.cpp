@@ -25,8 +25,8 @@ Sep::Sep(hw::Machine& machine, substrate::SubstrateConfig config)
                  machine_.fuses().device_key().end());
   const Bytes material = crypto::hkdf(to_bytes("sep.inline.v1"), fuse_key,
                                       to_bytes("enc+mac"), 48);
-  std::copy(material.begin(), material.begin() + 16, inline_key_.begin());
-  inline_mac_key_.assign(material.begin() + 16, material.end());
+  inline_key_ = crypto::Aes128(*crypto::key_from_bytes(material));
+  inline_mac_key_ = crypto::Hmac(BytesView(material).subspan(16));
 }
 
 const substrate::SubstrateInfo& Sep::info() const { return info_; }
@@ -49,7 +49,7 @@ Bytes Sep::inline_crypt(hw::PhysAddr page_addr, std::uint64_t version,
 
 crypto::Digest Sep::inline_mac(hw::PhysAddr page_addr, std::uint64_t version,
                                BytesView ciphertext) const {
-  crypto::Hmac mac(inline_mac_key_);
+  crypto::Hmac mac = inline_mac_key_;
   std::uint8_t header[16];
   for (int i = 0; i < 8; ++i) {
     header[i] = static_cast<std::uint8_t>(page_addr >> (56 - 8 * i));

@@ -17,6 +17,7 @@
 #pragma once
 
 #include "crypto/aes.h"
+#include "crypto/hmac.h"
 #include "substrate/registry.h"
 #include "substrate/substrate.h"
 
@@ -81,8 +82,8 @@ class Sep final : public substrate::IsolationSubstrate {
   std::map<substrate::DomainId, SepSpace> spaces_;
   std::size_t trusted_count_ = 0;
   std::size_t legacy_count_ = 0;
-  crypto::Aes128Key inline_key_{};
-  Bytes inline_mac_key_;
+  crypto::Aes128 inline_key_{crypto::Aes128Key{}};
+  crypto::Hmac inline_mac_key_{BytesView{}};
 };
 
 Status register_factory(substrate::SubstrateRegistry& registry);

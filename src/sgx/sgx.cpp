@@ -28,8 +28,8 @@ Sgx::Sgx(hw::Machine& machine, substrate::SubstrateConfig config)
                  machine_.fuses().device_key().end());
   const Bytes material =
       crypto::hkdf(to_bytes("sgx.mee.v1"), fuse_key, to_bytes("enc+mac"), 48);
-  std::copy(material.begin(), material.begin() + 16, mee_key_.begin());
-  mee_mac_key_.assign(material.begin() + 16, material.end());
+  mee_key_ = crypto::Aes128(*crypto::key_from_bytes(material));
+  mee_mac_key_ = crypto::Hmac(BytesView(material).subspan(16));
 }
 
 const substrate::SubstrateInfo& Sgx::info() const { return info_; }
@@ -54,7 +54,7 @@ Bytes Sgx::mee_decrypt(hw::PhysAddr page_addr, std::uint64_t version,
 
 crypto::Digest Sgx::mee_mac(hw::PhysAddr page_addr, std::uint64_t version,
                             BytesView ciphertext) const {
-  crypto::Hmac mac(mee_mac_key_);
+  crypto::Hmac mac = mee_mac_key_;
   std::uint8_t header[16];
   for (int i = 0; i < 8; ++i) {
     header[i] = static_cast<std::uint8_t>(page_addr >> (56 - 8 * i));

@@ -24,6 +24,7 @@
 #include <map>
 
 #include "crypto/aes.h"
+#include "crypto/hmac.h"
 #include "substrate/registry.h"
 #include "substrate/substrate.h"
 
@@ -119,8 +120,8 @@ class Sgx final : public substrate::IsolationSubstrate {
   substrate::SubstrateInfo info_;
   hw::FrameAllocator frames_;
   std::map<substrate::DomainId, EnclaveSpace> spaces_;
-  crypto::Aes128Key mee_key_{};
-  Bytes mee_mac_key_;
+  crypto::Aes128 mee_key_{crypto::Aes128Key{}};
+  crypto::Hmac mee_mac_key_{BytesView{}};
 };
 
 Status register_factory(substrate::SubstrateRegistry& registry);

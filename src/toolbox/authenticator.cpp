@@ -21,7 +21,7 @@ Bytes PasswordlessAuthenticator::begin() { return verifier_.make_challenge(); }
 
 crypto::Digest PasswordlessAuthenticator::token_mac(
     std::uint64_t serial, const crypto::Digest& device) const {
-  crypto::Hmac mac(token_key_);
+  crypto::Hmac mac = token_key_;
   std::uint8_t serial_be[8];
   for (int i = 0; i < 8; ++i)
     serial_be[i] = static_cast<std::uint8_t>(serial >> (56 - 8 * i));

@@ -55,7 +55,7 @@ class PasswordlessAuthenticator {
 
   core::AttestationVerifier& verifier_;
   std::string expected_component_;
-  Bytes token_key_;
+  crypto::Hmac token_key_;  // keyed prototype, copied per token
   std::uint64_t next_serial_ = 1;
   std::map<std::uint64_t, crypto::Digest> active_;  // serial -> device fp
 };

@@ -39,8 +39,8 @@ TrustZone::TrustZone(hw::Machine& machine, substrate::SubstrateConfig config,
                    machine_.fuses().device_key().end());
     const Bytes material = crypto::hkdf(to_bytes("tz.swmee.v1"), fuse_key,
                                         to_bytes("enc+mac"), 48);
-    std::copy(material.begin(), material.begin() + 16, sw_mee_key_.begin());
-    sw_mee_mac_key_.assign(material.begin() + 16, material.end());
+    sw_mee_key_ = crypto::Aes128(*crypto::key_from_bytes(material));
+    sw_mee_mac_key_ = crypto::Hmac(BytesView(material).subspan(16));
   }
 }
 
@@ -65,7 +65,7 @@ Bytes TrustZone::sw_mee_crypt(hw::PhysAddr page_addr, std::uint64_t version,
 crypto::Digest TrustZone::sw_mee_mac(hw::PhysAddr page_addr,
                                      std::uint64_t version,
                                      BytesView ciphertext) const {
-  crypto::Hmac mac(sw_mee_mac_key_);
+  crypto::Hmac mac = sw_mee_mac_key_;
   std::uint8_t header[16];
   for (int i = 0; i < 8; ++i) {
     header[i] = static_cast<std::uint8_t>(page_addr >> (56 - 8 * i));

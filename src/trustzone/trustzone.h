@@ -28,6 +28,7 @@
 #pragma once
 
 #include "crypto/aes.h"
+#include "crypto/hmac.h"
 #include "hw/iommu.h"
 #include "substrate/registry.h"
 #include "substrate/substrate.h"
@@ -126,8 +127,8 @@ class TrustZone final : public substrate::IsolationSubstrate {
   hw::FrameAllocator frames_;
   std::map<substrate::DomainId, WorldSpace> spaces_;
   std::size_t legacy_count_ = 0;
-  crypto::Aes128Key sw_mee_key_{};
-  Bytes sw_mee_mac_key_;
+  crypto::Aes128 sw_mee_key_{crypto::Aes128Key{}};
+  crypto::Hmac sw_mee_mac_key_{BytesView{}};
 };
 
 Status register_factory(substrate::SubstrateRegistry& registry);

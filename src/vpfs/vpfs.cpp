@@ -15,6 +15,21 @@ void append_u64(Bytes& out, std::uint64_t v) {
     out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
 }
 
+/// file_id || block || version, big-endian: the block nonce's hash input
+/// and the block MAC's header.
+std::array<std::uint8_t, 24> block_header(std::uint64_t file_id,
+                                          std::uint64_t block,
+                                          std::uint64_t version) {
+  std::array<std::uint8_t, 24> out;
+  for (int i = 0; i < 8; ++i) {
+    const int shift = 56 - 8 * i;
+    out[i] = static_cast<std::uint8_t>(file_id >> shift);
+    out[8 + i] = static_cast<std::uint8_t>(block >> shift);
+    out[16 + i] = static_cast<std::uint8_t>(version >> shift);
+  }
+  return out;
+}
+
 std::uint64_t read_u64(BytesView in, std::size_t& offset) {
   std::uint64_t v = 0;
   for (int i = 0; i < 8; ++i) v = (v << 8) | in[offset++];
@@ -40,11 +55,8 @@ std::uint64_t Vpfs::block_nonce(std::uint64_t file_id, std::size_t block,
   // Nonce uniqueness across (file, block, version): fold into 64 bits via
   // hashing — AES-CTR reuse of a (key, nonce) pair would break
   // confidentiality.
-  Bytes material;
-  append_u64(material, file_id);
-  append_u64(material, block);
-  append_u64(material, version);
-  const crypto::Digest d = crypto::Sha256::hash(material);
+  const crypto::Digest d =
+      crypto::Sha256::hash(block_header(file_id, block, version));
   std::uint64_t nonce = 0;
   for (int i = 0; i < 8; ++i) nonce = (nonce << 8) | d[i];
   return nonce;
@@ -53,12 +65,8 @@ std::uint64_t Vpfs::block_nonce(std::uint64_t file_id, std::size_t block,
 crypto::Digest Vpfs::block_mac(std::uint64_t file_id, std::size_t block,
                                std::uint64_t version,
                                BytesView ciphertext) const {
-  crypto::Hmac mac(mac_key_);
-  Bytes header;
-  append_u64(header, file_id);
-  append_u64(header, block);
-  append_u64(header, version);
-  mac.update(header);
+  crypto::Hmac mac = mac_key_;
+  mac.update(block_header(file_id, block, version));
   mac.update(ciphertext);
   return mac.finish();
 }
@@ -356,10 +364,15 @@ Status Vpfs::deserialize_meta(BytesView blob) {
   return Status::success();
 }
 
+void Vpfs::set_keys(BytesView keys) {
+  raw_keys_.assign(keys.begin(), keys.end());
+  enc_key_ = crypto::Aes128(*crypto::key_from_bytes(keys));
+  mac_key_ = crypto::Hmac(keys.subspan(16));
+}
+
 Status Vpfs::write_seal(const crypto::Digest& meta_digest) {
   Bytes state;
-  state.insert(state.end(), enc_key_.begin(), enc_key_.end());
-  state.insert(state.end(), mac_key_.begin(), mac_key_.end());
+  state.insert(state.end(), raw_keys_.begin(), raw_keys_.end());
   state.insert(state.end(), meta_digest.begin(), meta_digest.end());
   append_u64(state, commit_seq_);
   append_u64(state, substrate_.machine().nv_counter());
@@ -397,7 +410,9 @@ Status Vpfs::sync() {
   Bytes record;
   append_u64(record, new_seq);
   record.insert(record.end(), meta_digest.begin(), meta_digest.end());
-  const crypto::Digest record_mac = crypto::hmac_sha256(mac_key_, record);
+  crypto::Hmac mac = mac_key_;
+  mac.update(record);
+  const crypto::Digest record_mac = mac.finish();
   record.insert(record.end(), record_mac.begin(), record_mac.end());
   if (!backing_.exists(journal_path())) (void)backing_.create(journal_path());
   const auto journal_size = backing_.size(journal_path());
@@ -435,8 +450,7 @@ Result<std::unique_ptr<Vpfs>> Vpfs::format(
   auto fs = std::unique_ptr<Vpfs>(new Vpfs(backing, substrate, domain, prefix));
   const Bytes keys = crypto::hkdf(to_bytes("vpfs.format.v1"), key_seed,
                                   to_bytes("enc+mac"), 48);
-  std::copy(keys.begin(), keys.begin() + 16, fs->enc_key_.begin());
-  fs->mac_key_.assign(keys.begin() + 16, keys.end());
+  fs->set_keys(keys);
   if (const Status s = fs->sync(); !s.ok()) return s.error();
   return fs;
 }
@@ -458,10 +472,8 @@ Result<std::unique_ptr<Vpfs>> Vpfs::mount(
   if (state->size() != 16 + 32 + 32 + 8 + 8) return Errc::tamper_detected;
 
   std::size_t offset = 0;
-  std::copy(state->begin(), state->begin() + 16, fs->enc_key_.begin());
-  offset += 16;
-  fs->mac_key_.assign(state->begin() + 16, state->begin() + 48);
-  offset += 32;
+  fs->set_keys(BytesView(*state).first(48));
+  offset += 48;
   crypto::Digest sealed_digest;
   std::copy(state->begin() + 48, state->begin() + 80, sealed_digest.begin());
   offset += 32;

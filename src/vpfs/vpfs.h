@@ -160,6 +160,8 @@ class Vpfs {
   Bytes serialize_meta() const;
   Status deserialize_meta(BytesView blob);
 
+  void set_keys(BytesView keys);
+
   /// Seal {keys, meta digest, commit seq} and persist.
   Status write_seal(const crypto::Digest& meta_digest);
 
@@ -172,8 +174,11 @@ class Vpfs {
   substrate::DomainId disk_domain_ = substrate::kInvalidDomain;
   substrate::RegionId block_region_ = 0;
 
-  crypto::Aes128Key enc_key_{};
-  Bytes mac_key_;
+  /// enc (16 B) || mac (32 B) key bytes, kept for the sealed root state;
+  /// enc_key_ and mac_key_ are expanded from them once by set_keys().
+  Bytes raw_keys_;
+  crypto::Aes128 enc_key_{crypto::Aes128Key{}};
+  crypto::Hmac mac_key_{BytesView{}};  // keyed prototype, copied per MAC
   std::map<std::string, FileMeta> files_;
   std::uint64_t next_file_id_ = 1;
   std::uint64_t commit_seq_ = 0;

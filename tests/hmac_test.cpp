@@ -59,6 +59,57 @@ TEST(Hmac, DifferentKeysDifferentMacs) {
             hmac_sha256(to_bytes("k2"), to_bytes("m")));
 }
 
+// A keyed Hmac is a prototype: each copy MACs one message, and finishing a
+// copy leaves the prototype able to MAC again. RFC 4231 cases 1-4, 6 and 7,
+// each reproduced by several copies that feed the message in different
+// splits, then by the prototype itself.
+struct Rfc4231Case {
+  Bytes key;
+  Bytes data;
+  const char* mac;
+};
+
+std::vector<Rfc4231Case> rfc4231_cases() {
+  Bytes key4;
+  for (std::uint8_t b = 0x01; b <= 0x19; ++b) key4.push_back(b);
+  return {
+      {Bytes(20, 0x0b), to_bytes("Hi There"),
+       "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
+      {to_bytes("Jefe"), to_bytes("what do ya want for nothing?"),
+       "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"},
+      {Bytes(20, 0xaa), Bytes(50, 0xdd),
+       "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"},
+      {key4, Bytes(50, 0xcd),
+       "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"},
+      {Bytes(131, 0xaa),
+       to_bytes("Test Using Larger Than Block-Size Key - Hash Key First"),
+       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"},
+      {Bytes(131, 0xaa),
+       to_bytes("This is a test using a larger than block-size key and a "
+                "larger than block-size data. The key needs to be hashed "
+                "before being used by the HMAC algorithm."),
+       "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"},
+  };
+}
+
+TEST(Hmac, KeyedPrototypeCopiesReproduceRfc4231) {
+  for (const Rfc4231Case& c : rfc4231_cases()) {
+    Hmac prototype(c.key);
+    for (const std::size_t split : {std::size_t{0}, std::size_t{1},
+                                    c.data.size() / 2, c.data.size()}) {
+      Hmac copy = prototype;
+      copy.update(BytesView(c.data.data(), split));
+      copy.update(BytesView(c.data.data() + split, c.data.size() - split));
+      EXPECT_EQ(hex_of(copy.finish()), c.mac) << "split=" << split;
+    }
+    Hmac byte_wise = prototype;
+    for (const std::uint8_t b : c.data) byte_wise.update(BytesView(&b, 1));
+    EXPECT_EQ(hex_of(byte_wise.finish()), c.mac);
+    prototype.update(c.data);
+    EXPECT_EQ(hex_of(prototype.finish()), c.mac);
+  }
+}
+
 // RFC 5869 test case 1.
 TEST(Hkdf, Rfc5869Case1) {
   const Bytes ikm(22, 0x0b);
