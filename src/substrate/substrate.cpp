@@ -220,7 +220,7 @@ Status IsolationSubstrate::kill_domain(DomainId domain) {
     stamp_span(domain, trace::current_context(), tracer_->next_span(),
                trace::SpanPhase::killed, {}, 0);
   release_memory(domain, *record);
-  record->handler = nullptr;
+  record->handler.reset();
   record->dead = true;
   // In-flight messages of the old life are gone with the crash: both
   // directions, on every channel the corpse participates in. The channels
@@ -330,7 +330,8 @@ Status IsolationSubstrate::rebind_channel(ChannelId channel, DomainId from,
 
 Status IsolationSubstrate::set_handler(DomainId domain, Handler handler) {
   if (const Status s = check_live(domain); !s.ok()) return s;
-  find_domain(domain)->handler = std::move(handler);
+  find_domain(domain)->handler =
+      handler ? std::make_shared<const Handler>(std::move(handler)) : nullptr;
   return Status::success();
 }
 
@@ -397,273 +398,65 @@ Result<Message> IsolationSubstrate::receive(DomainId actor, ChannelId channel) {
   return msg;
 }
 
-Result<Bytes> IsolationSubstrate::call(DomainId actor, ChannelId channel,
-                                       BytesView data) {
-  ChannelRecord* chan = find_channel(channel);
-  if (!chan) return Errc::no_such_channel;
-  if (actor != chan->a && actor != chan->b) return Errc::access_denied;
-  if (const Status s = check_live(actor); !s.ok()) return s.error();
-  if (data.size() > chan->spec.max_message_bytes)
-    return Errc::invalid_argument;
-  const DomainId callee = (actor == chan->a) ? chan->b : chan->a;
-  if (const Status s = check_live(callee); !s.ok()) return s.error();
-  if (fault_fires(callee, "call")) return Errc::domain_dead;
-  DomainRecord* callee_record = find_domain(callee);
-  if (!callee_record->handler) return Errc::would_block;
-  if (const Status s = pre_call(actor, callee); !s.ok()) return s.error();
+namespace {
+/// A request as it crosses: inline bytes (or the scatter-gather header)
+/// plus descriptors naming bulk bytes in place. The sync entry points build
+/// one on the stack; the batch entry points' elements are read in place
+/// through the same two accessors.
+struct Crossing {
+  BytesView header;
+  std::span<const RegionDescriptor> segments;
+};
 
-  const trace::TraceContext& ctx = trace::current_context();
-  const bool traced = tracing_active() && ctx.sampled();
-  const Cycles trace_cost = traced ? trace_crossing_cost() : Cycles{0};
-
-  // One sampling decision covers both directions of this crossing, so a
-  // sampled call records exactly one request/reply pair.
-  const bool profiled = profiling_active() && profiler_->should_sample();
-  const Cycles profile_cost =
-      profiled ? machine_.costs().profile_stamp : Cycles{0};
-  // The handler may destroy the callee; keep the label for the reply sample.
-  const std::string profile_label =
-      profiled ? callee_record->spec.name : std::string();
-
-  // Request transfer: a traced crossing additionally carries the 16-byte
-  // context. The reply carries nothing extra (the caller correlates by
-  // span id), so only the request direction pays trace_cost (and a sampled
-  // one the profiler's ring store).
-  note_channel_touch(channel);
-  const Cycles request_cost = message_cost(data.size()) + trace_cost +
-                              profile_cost;
-  charge_crossing(request_cost);
-  if (profiled)
-    profiler_->sample(this, callee, profile_label,
-                      health::ProfilePhase::request, request_cost,
-                      machine_.now());
-  Invocation invocation;
-  invocation.channel = channel;
-  invocation.badge = (actor == chan->a) ? chan->badge_a : chan->badge_b;
-  invocation.data = data;
-  Result<Bytes> reply = Errc::would_block;  // placeholder, always overwritten
-  if (traced) {
-    const std::uint32_t span = tracer_->next_span();
-    stamp_span(callee, ctx, span, trace::SpanPhase::dispatch, data,
-               data.size());
-    invocation.trace = {ctx.trace_id, span, ctx.flags};
-    // The handler runs under the dispatch span, so crossings it makes in
-    // turn (imap -> tls) chain under this one automatically.
-    trace::TraceScope scope(invocation.trace);
-    reply = callee_record->handler(invocation);
-    stamp_span(callee, ctx, span, trace::SpanPhase::complete,
-               reply.ok() ? BytesView(reply.value()) : BytesView{},
-               reply.ok() ? reply.value().size() : 0);
-  } else {
-    reply = callee_record->handler(invocation);
-  }
-  const Cycles reply_cost =
-      message_cost(reply.ok() ? reply.value().size() : 0);
-  charge_crossing(reply_cost);
-  if (profiled)
-    profiler_->sample(this, callee, profile_label,
-                      health::ProfilePhase::reply, reply_cost,
-                      machine_.now());
-  return reply;
+BytesView header_of(const Crossing& request) { return request.header; }
+BytesView header_of(const Bytes& request) { return request; }
+BytesView header_of(const SgRequest& request) { return request.header; }
+std::span<const RegionDescriptor> segments_of(const Crossing& request) {
+  return request.segments;
+}
+std::span<const RegionDescriptor> segments_of(const Bytes&) { return {}; }
+std::span<const RegionDescriptor> segments_of(const SgRequest& request) {
+  return request.segments;
 }
 
-Result<BatchReply> IsolationSubstrate::call_batch(
-    DomainId actor, ChannelId channel, const std::vector<Bytes>& requests) {
+/// What a reply slot holds until its request is delivered. Refused and
+/// undelivered requests overwrite it with their error; a handler's reply
+/// replaces it by construction, not by assignment into a live buffer.
+constexpr Errc kPending = Errc::would_block;
+
+/// Bytes that cross the boundary: never the payload behind a descriptor.
+template <typename Request>
+std::size_t wire_bytes(const Request& request) {
+  return header_of(request).size() +
+         kDescriptorWireBytes * segments_of(request).size();
+}
+}  // namespace
+
+template <typename Request, std::size_t Extent>
+Result<Cycles> IsolationSubstrate::deliver(
+    DomainId actor, ChannelId channel, std::string_view op,
+    std::span<const Request, Extent> requests,
+    std::span<Result<Bytes>, Extent> replies) {
+  constexpr bool sync = Extent == 1;
   ChannelRecord* chan = find_channel(channel);
   if (!chan) return Errc::no_such_channel;
   if (actor != chan->a && actor != chan->b) return Errc::access_denied;
   if (const Status s = check_live(actor); !s.ok()) return s.error();
-  for (const Bytes& request : requests)
-    if (request.size() > chan->spec.max_message_bytes)
+  for (const Request& request : requests)
+    if (wire_bytes(request) > chan->spec.max_message_bytes)
       return Errc::invalid_argument;
-  const DomainId callee = (actor == chan->a) ? chan->b : chan->a;
-  if (const Status s = check_live(callee); !s.ok()) return s.error();
-  if (fault_fires(callee, "call_batch")) return Errc::domain_dead;
-  DomainRecord* callee_record = find_domain(callee);
-  if (!callee_record->handler) return Errc::would_block;
-  // One serialization gate for the whole batch: a batch is a single
-  // session with the callee (the TPM's late-launch switch happens once).
-  if (const Status s = pre_call(actor, callee); !s.ok()) return s.error();
-
-  BatchReply out;
-  if (requests.empty()) return out;
-
-  // One TraceContext rides the whole batch (the flush direction is a single
-  // crossing); each delivered request still gets its own dispatch/complete
-  // span, which is precisely how batching amortization becomes visible per
-  // request.
-  const trace::TraceContext& ctx = trace::current_context();
-  const bool traced = tracing_active() && ctx.sampled();
-  const Cycles trace_cost = traced ? trace_crossing_cost() : Cycles{0};
-
-  // A batch is one crossing, so it makes one sampling decision — which is
-  // exactly why profiling (like tracing) amortizes with batching.
-  const bool profiled = profiling_active() && profiler_->should_sample();
-  const Cycles profile_cost =
-      profiled ? machine_.costs().profile_stamp : Cycles{0};
-  const std::string profile_label =
-      profiled ? callee_record->spec.name : std::string();
-
-  // Request direction: one fixed boundary crossing, then per-byte copy
-  // cost for every queued request. message_cost(0) is exactly the fixed
-  // part of a substrate's message cost, so the marginal cost of the 2nd..
-  // Nth request is copy-only.
-  const Cycles fixed = message_cost(0);
-  Cycles crossing = fixed + trace_cost + profile_cost;
-  for (const Bytes& request : requests)
-    crossing += message_cost(request.size()) - fixed;
-  note_channel_touch(channel);
-  charge_crossing(crossing);
-  if (profiled)
-    profiler_->sample(this, callee, profile_label,
-                      health::ProfilePhase::request, crossing,
-                      machine_.now());
-
-  const std::uint64_t badge =
-      (actor == chan->a) ? chan->badge_a : chan->badge_b;
-  out.replies.reserve(requests.size());
-  for (const Bytes& request : requests) {
-    Invocation invocation;
-    invocation.channel = channel;
-    invocation.badge = badge;
-    invocation.data = request;
-    if (traced) {
-      const std::uint32_t span = tracer_->next_span();
-      stamp_span(callee, ctx, span, trace::SpanPhase::dispatch, request,
-                 request.size());
-      invocation.trace = {ctx.trace_id, span, ctx.flags};
-      trace::TraceScope scope(invocation.trace);
-      out.replies.push_back(callee_record->handler(invocation));
-      const Result<Bytes>& reply = out.replies.back();
-      stamp_span(callee, ctx, span, trace::SpanPhase::complete,
-                 reply.ok() ? BytesView(reply.value()) : BytesView{},
-                 reply.ok() ? reply.value().size() : 0);
-    } else {
-      out.replies.push_back(callee_record->handler(invocation));
-    }
-  }
-
-  // Reply direction: same amortization; no trace charge (the context
-  // travels caller -> callee only).
-  Cycles reply_crossing = fixed;
-  for (const Result<Bytes>& reply : out.replies)
-    reply_crossing += message_cost(reply.ok() ? reply->size() : 0) - fixed;
-  charge_crossing(reply_crossing);
-  if (profiled)
-    profiler_->sample(this, callee, profile_label,
-                      health::ProfilePhase::reply, reply_crossing,
-                      machine_.now());
-  out.crossing_cycles = crossing + reply_crossing;
-  return out;
-}
-
-Result<Bytes> IsolationSubstrate::call_sg(
-    DomainId actor, ChannelId channel, BytesView header,
-    std::span<const RegionDescriptor> segments) {
-  ChannelRecord* chan = find_channel(channel);
-  if (!chan) return Errc::no_such_channel;
-  if (actor != chan->a && actor != chan->b) return Errc::access_denied;
-  if (const Status s = check_live(actor); !s.ok()) return s.error();
-  const std::size_t wire =
-      header.size() + kDescriptorWireBytes * segments.size();
-  if (wire > chan->spec.max_message_bytes) return Errc::invalid_argument;
   const DomainId callee = (actor == chan->a) ? chan->b : chan->a;
   if (const Status s = check_live(callee); !s.ok()) return s.error();
   // Every descriptor must pass the reference monitor *before* delivery:
   // endpoints, mapping, bounds, and epoch. Crucially the region's endpoints
   // must be exactly {actor, callee} — a descriptor naming a region the
   // caller shares with some third domain is a confused-deputy attempt and
-  // is refused, not forwarded.
-  for (const RegionDescriptor& desc : segments) {
-    if (const Status s = check_descriptor(actor, desc); !s.ok())
-      return s.error();
-    const RegionRecord* region = find_region(desc.region);
-    if (!(region->a == actor && region->b == callee) &&
-        !(region->a == callee && region->b == actor))
-      return Errc::access_denied;
-  }
-  if (fault_fires(callee, "call_sg")) return Errc::domain_dead;
-  DomainRecord* callee_record = find_domain(callee);
-  if (!callee_record->handler) return Errc::would_block;
-  if (const Status s = pre_call(actor, callee); !s.ok()) return s.error();
-
-  const trace::TraceContext& ctx = trace::current_context();
-  const bool traced = tracing_active() && ctx.sampled();
-  const Cycles trace_cost = traced ? trace_crossing_cost() : Cycles{0};
-
-  const bool profiled = profiling_active() && profiler_->should_sample();
-  const Cycles profile_cost =
-      profiled ? machine_.costs().profile_stamp : Cycles{0};
-  const std::string profile_label =
-      profiled ? callee_record->spec.name : std::string();
-
-  // The crossing carries the header plus 16 bytes per descriptor — never
-  // the payload. This is the whole economics of the plane.
-  note_channel_touch(channel);
-  const Cycles request_cost = message_cost(wire) + trace_cost + profile_cost;
-  charge_crossing(request_cost);
-  if (profiled)
-    profiler_->sample(this, callee, profile_label,
-                      health::ProfilePhase::request, request_cost,
-                      machine_.now());
-  Invocation invocation;
-  invocation.channel = channel;
-  invocation.badge = (actor == chan->a) ? chan->badge_a : chan->badge_b;
-  invocation.data = header;
-  invocation.segments = segments;
-  Result<Bytes> reply = Errc::would_block;  // placeholder, always overwritten
-  if (traced) {
-    const std::uint32_t span = tracer_->next_span();
-    std::uint64_t bulk = header.size();
-    for (const RegionDescriptor& desc : segments) bulk += desc.length;
-    stamp_span(callee, ctx, span, trace::SpanPhase::dispatch, header, bulk);
-    invocation.trace = {ctx.trace_id, span, ctx.flags};
-    trace::TraceScope scope(invocation.trace);
-    reply = callee_record->handler(invocation);
-    stamp_span(callee, ctx, span, trace::SpanPhase::complete,
-               reply.ok() ? BytesView(reply.value()) : BytesView{},
-               reply.ok() ? reply.value().size() : 0);
-  } else {
-    reply = callee_record->handler(invocation);
-  }
-  const Cycles reply_cost =
-      message_cost(reply.ok() ? reply.value().size() : 0);
-  charge_crossing(reply_cost);
-  if (profiled)
-    profiler_->sample(this, callee, profile_label,
-                      health::ProfilePhase::reply, reply_cost,
-                      machine_.now());
-  return reply;
-}
-
-Result<BatchReply> IsolationSubstrate::call_batch_sg(
-    DomainId actor, ChannelId channel, const std::vector<SgRequest>& requests) {
-  ChannelRecord* chan = find_channel(channel);
-  if (!chan) return Errc::no_such_channel;
-  if (actor != chan->a && actor != chan->b) return Errc::access_denied;
-  if (const Status s = check_live(actor); !s.ok()) return s.error();
-  for (const SgRequest& request : requests)
-    if (request.header.size() +
-            kDescriptorWireBytes * request.segments.size() >
-        chan->spec.max_message_bytes)
-      return Errc::invalid_argument;
-  const DomainId callee = (actor == chan->a) ? chan->b : chan->a;
-  if (const Status s = check_live(callee); !s.ok()) return s.error();
-  if (fault_fires(callee, "call_batch_sg")) return Errc::domain_dead;
-  DomainRecord* callee_record = find_domain(callee);
-  if (!callee_record->handler) return Errc::would_block;
-  if (const Status s = pre_call(actor, callee); !s.ok()) return s.error();
-
-  BatchReply out;
-  if (requests.empty()) return out;
-  out.replies.reserve(requests.size());
-
-  // Per-request descriptor validation happens up front; a bad descriptor
-  // fails *its* request (the error travels in replies[i]) without sinking
-  // the batch, and a refused request is not charged a crossing share.
-  std::vector<Errc> veto(requests.size(), Errc::ok);
+  // is refused, not forwarded. A sync call fails whole; in a batch the
+  // refusal fails *its* request (the error travels in replies[i]) without
+  // sinking the batch, and a refused request is not charged a crossing
+  // share.
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    for (const RegionDescriptor& desc : requests[i].segments) {
+    for (const RegionDescriptor& desc : segments_of(requests[i])) {
       Status s = check_descriptor(actor, desc);
       if (s.ok()) {
         const RegionRecord* region = find_region(desc.region);
@@ -672,33 +465,52 @@ Result<BatchReply> IsolationSubstrate::call_batch_sg(
           s = Errc::access_denied;
       }
       if (!s.ok()) {
-        veto[i] = s.error();
+        if (sync) return s.error();
+        replies[i] = s.error();
         break;
       }
     }
   }
+  if (fault_fires(callee, op)) return Errc::domain_dead;
+  DomainRecord* callee_record = find_domain(callee);
+  if (!callee_record->handler) return Errc::would_block;
+  // One serialization gate for the whole batch: a batch is a single
+  // session with the callee (the TPM's late-launch switch happens once).
+  if (const Status s = pre_call(actor, callee); !s.ok()) return s.error();
+  if (requests.empty()) return Cycles{0};
 
+  // One TraceContext rides the whole batch (the request direction is a
+  // single crossing); each delivered request still gets its own
+  // dispatch/complete span, which is precisely how batching amortization
+  // becomes visible per request.
   const trace::TraceContext& ctx = trace::current_context();
   const bool traced = tracing_active() && ctx.sampled();
   const Cycles trace_cost = traced ? trace_crossing_cost() : Cycles{0};
 
+  // A crossing makes one sampling decision covering both directions, so a
+  // sampled one records exactly one request/reply pair — which is why
+  // profiling (like tracing) amortizes with batching.
   const bool profiled = profiling_active() && profiler_->should_sample();
   const Cycles profile_cost =
       profiled ? machine_.costs().profile_stamp : Cycles{0};
+  // The handler may destroy the callee; keep the label for the reply sample.
   const std::string profile_label =
       profiled ? callee_record->spec.name : std::string();
 
-  // One fixed crossing per direction for the whole batch; each request's
-  // marginal wire cost is its header + descriptors, O(1) in payload bytes.
-  const Cycles fixed = message_cost(0);
+  // Request direction: one fixed boundary crossing, then each request's
+  // marginal wire cost — header plus 16 bytes per descriptor, never the
+  // payload. message_cost(0) is exactly the fixed part of a substrate's
+  // message cost, so a batch of one costs message_cost(wire). A sync call
+  // has nothing to amortize: split at 0, its one request pays
+  // message_cost(wire) whole — the same charge, one virtual call fewer. A
+  // traced crossing additionally carries the 16-byte context and a sampled
+  // one the profiler's ring store; the reply carries neither (the caller
+  // correlates by span id).
+  const Cycles fixed = sync ? Cycles{0} : message_cost(0);
   Cycles crossing = fixed + trace_cost + profile_cost;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (veto[i] != Errc::ok) continue;
-    crossing += message_cost(requests[i].header.size() +
-                             kDescriptorWireBytes *
-                                 requests[i].segments.size()) -
-                fixed;
-  }
+  for (std::size_t i = 0; i < requests.size(); ++i)
+    if (replies[i].error() == kPending)
+      crossing += message_cost(wire_bytes(requests[i])) - fixed;
   note_channel_touch(channel);
   charge_crossing(crossing);
   if (profiled)
@@ -706,46 +518,106 @@ Result<BatchReply> IsolationSubstrate::call_batch_sg(
                       health::ProfilePhase::request, crossing,
                       machine_.now());
 
+  // The handler may kill or destroy its own domain, which drops the
+  // record's handler or the record itself. The pin keeps the running
+  // handler alive, and nothing below reads callee_record or chan again.
+  const std::shared_ptr<const Handler> handler = callee_record->handler;
   const std::uint64_t badge =
       (actor == chan->a) ? chan->badge_a : chan->badge_b;
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (veto[i] != Errc::ok) {
-      out.replies.push_back(veto[i]);
-      continue;
+    if (replies[i].error() != kPending) continue;  // refused descriptor
+    // While the record still shares the handler, nothing was dropped; once
+    // only the pin is left, the lookup tells a death from a set_handler.
+    if (i > 0 && handler.use_count() == 1 && !check_live(callee).ok()) {
+      // The callee died inside an earlier request: the rest never arrive.
+      for (; i < requests.size(); ++i)
+        if (replies[i].error() == kPending) replies[i] = Errc::domain_dead;
+      break;
     }
     Invocation invocation;
     invocation.channel = channel;
     invocation.badge = badge;
-    invocation.data = requests[i].header;
-    invocation.segments = requests[i].segments;
+    invocation.data = header_of(requests[i]);
+    invocation.segments = segments_of(requests[i]);
     if (traced) {
       const std::uint32_t span = tracer_->next_span();
-      std::uint64_t bulk = requests[i].header.size();
-      for (const RegionDescriptor& desc : requests[i].segments)
+      std::uint64_t bulk = invocation.data.size();
+      for (const RegionDescriptor& desc : invocation.segments)
         bulk += desc.length;
       stamp_span(callee, ctx, span, trace::SpanPhase::dispatch,
-                 requests[i].header, bulk);
+                 invocation.data, bulk);
       invocation.trace = {ctx.trace_id, span, ctx.flags};
+      // The handler runs under the dispatch span, so crossings it makes in
+      // turn (imap -> tls) chain under this one automatically.
       trace::TraceScope scope(invocation.trace);
-      out.replies.push_back(callee_record->handler(invocation));
-      const Result<Bytes>& reply = out.replies.back();
+      replies[i] = (*handler)(invocation);
+      const Result<Bytes>& reply = replies[i];
       stamp_span(callee, ctx, span, trace::SpanPhase::complete,
                  reply.ok() ? BytesView(reply.value()) : BytesView{},
                  reply.ok() ? reply.value().size() : 0);
     } else {
-      out.replies.push_back(callee_record->handler(invocation));
+      replies[i] = (*handler)(invocation);
     }
   }
 
+  // Reply direction: same amortization, no trace charge. Only delivered
+  // replies carry bytes; a refused or undelivered request (like an error
+  // reply) adds nothing beyond the fixed crossing.
   Cycles reply_crossing = fixed;
-  for (const Result<Bytes>& reply : out.replies)
+  for (const Result<Bytes>& reply : replies)
     reply_crossing += message_cost(reply.ok() ? reply->size() : 0) - fixed;
   charge_crossing(reply_crossing);
   if (profiled)
     profiler_->sample(this, callee, profile_label,
                       health::ProfilePhase::reply, reply_crossing,
                       machine_.now());
-  out.crossing_cycles = crossing + reply_crossing;
+  return crossing + reply_crossing;
+}
+
+Result<Bytes> IsolationSubstrate::call(DomainId actor, ChannelId channel,
+                                       BytesView data) {
+  const Crossing request{data, {}};
+  Result<Bytes> reply = kPending;
+  const Result<Cycles> crossed =
+      deliver(actor, channel, "call", std::span<const Crossing, 1>(&request, 1),
+              std::span<Result<Bytes>, 1>(&reply, 1));
+  if (!crossed.ok()) reply = crossed.error();
+  return reply;  // one named return: built in the caller's slot
+}
+
+Result<BatchReply> IsolationSubstrate::call_batch(
+    DomainId actor, ChannelId channel, const std::vector<Bytes>& requests) {
+  BatchReply out;
+  out.replies.assign(requests.size(), kPending);
+  const Result<Cycles> crossed =
+      deliver(actor, channel, "call_batch", std::span(requests),
+              std::span(out.replies));
+  if (!crossed.ok()) return crossed.error();
+  out.crossing_cycles = *crossed;
+  return out;
+}
+
+Result<Bytes> IsolationSubstrate::call_sg(
+    DomainId actor, ChannelId channel, BytesView header,
+    std::span<const RegionDescriptor> segments) {
+  const Crossing request{header, segments};
+  Result<Bytes> reply = kPending;
+  const Result<Cycles> crossed = deliver(
+      actor, channel, "call_sg", std::span<const Crossing, 1>(&request, 1),
+      std::span<Result<Bytes>, 1>(&reply, 1));
+  if (!crossed.ok()) reply = crossed.error();
+  return reply;
+}
+
+Result<BatchReply> IsolationSubstrate::call_batch_sg(
+    DomainId actor, ChannelId channel, const std::vector<SgRequest>& requests) {
+  BatchReply out;
+  out.replies.assign(requests.size(), kPending);
+  const Result<Cycles> crossed =
+      deliver(actor, channel, "call_batch_sg", std::span(requests),
+              std::span(out.replies));
+  if (!crossed.ok()) return crossed.error();
+  out.crossing_cycles = *crossed;
   return out;
 }
 

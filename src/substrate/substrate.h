@@ -127,12 +127,13 @@ class IsolationSubstrate {
   bool profiling_active() const { return profiler_ && profiler_->enabled(); }
 
   // --- Fault injection (experiment hook) ---------------------------------
-  /// Consulted at every synchronous delivery (call / call_batch) with the
-  /// callee and the operation name. Returning true crashes the callee at
-  /// that instant — kill_domain() runs and the invocation fails with
-  /// Errc::domain_dead, exactly what a caller of a component that died
-  /// mid-request observes. Supervision tests and bench_fig10 script crashes
-  /// through this without reaching into substrate internals.
+  /// Consulted once per synchronous delivery with the callee and the entry
+  /// point's name: "call", "call_batch", "call_sg" or "call_batch_sg".
+  /// Returning true crashes the callee at that instant — kill_domain() runs
+  /// and the invocation fails with Errc::domain_dead, exactly what a caller
+  /// of a component that died mid-request observes. Supervision tests and
+  /// bench_fig10 script crashes through this without reaching into
+  /// substrate internals.
   using FaultHook = std::function<bool(DomainId callee, std::string_view op)>;
   void set_fault_hook(FaultHook hook) { fault_hook_ = std::move(hook); }
 
@@ -150,6 +151,13 @@ class IsolationSubstrate {
   Result<Message> receive(DomainId actor, ChannelId channel);
   /// Synchronous invocation of the peer's handler (service invocation in the
   /// structural template of Fig. 2).
+  ///
+  /// All four call entry points share one delivery, and it survives a
+  /// callee that dies inside its own handler (kill_domain or destroy_domain
+  /// on itself): the handler runs to completion and its reply is returned,
+  /// every later request of the same batch fails with Errc::domain_dead
+  /// without reaching a handler, and the reply direction charges only the
+  /// replies actually delivered.
   Result<Bytes> call(DomainId actor, ChannelId channel, BytesView data);
   /// Batched invocation: deliver every request to the peer's handler while
   /// crossing the isolation boundary once per direction for the whole
@@ -157,14 +165,15 @@ class IsolationSubstrate {
   /// the per-byte copy cost scales with the batch. Per-request failures
   /// come back inside BatchReply::replies; a batch-level refusal (bad
   /// channel, no handler, pre_call veto) fails the whole call.
-  virtual Result<BatchReply> call_batch(DomainId actor, ChannelId channel,
-                                        const std::vector<Bytes>& requests);
+  Result<BatchReply> call_batch(DomainId actor, ChannelId channel,
+                                const std::vector<Bytes>& requests);
   /// Scatter-gather invocation: `header` crosses inline, `segments` name
   /// payload bytes already resident in a shared grant region. The crossing
   /// is charged for header + kDescriptorWireBytes per segment — O(1) in the
   /// payload size. Descriptors are validated against the region table
-  /// (endpoints, bounds, epoch) before delivery; a stale descriptor fails
-  /// the request with Errc::stale_epoch, a foreign one with access_denied.
+  /// (endpoints, bounds, epoch) before the fault hook and before anything
+  /// is charged; a stale descriptor fails the call with Errc::stale_epoch,
+  /// a foreign one with access_denied.
   Result<Bytes> call_sg(DomainId actor, ChannelId channel, BytesView header,
                         std::span<const RegionDescriptor> segments);
   /// Batched scatter-gather: one crossing per direction for the whole
@@ -315,7 +324,9 @@ class IsolationSubstrate {
   struct DomainRecord {
     DomainSpec spec;
     crypto::Digest measurement{};
-    Handler handler;
+    /// Shared so that a delivery can pin the handler it runs: one that
+    /// kills or destroys its own domain still runs to completion.
+    std::shared_ptr<const Handler> handler;
     bool compromised = false;
     /// Corpse flag: killed, memory released, awaiting reap. Every operation
     /// naming a dead domain returns Errc::domain_dead.
@@ -439,6 +450,21 @@ class IsolationSubstrate {
   Cycles serial_free_ = 0;
   std::uint64_t serial_stalls_ = 0;
   Cycles serial_stall_cycles_ = 0;
+
+ private:
+  /// The one crossing behind call / call_batch / call_sg / call_batch_sg:
+  /// validate, consult the fault hook as `op`, pre_call, charge the request
+  /// direction, deliver each request to the pinned handler, charge the
+  /// reply direction. `replies` holds one slot per request, each
+  /// Errc::would_block (pending) on entry. A static extent of 1 is a sync
+  /// call: a refused descriptor fails it whole. In a batch (dynamic
+  /// extent) it fails only its own reply slot. Returns the cycles charged
+  /// for both directions.
+  template <typename Request, std::size_t Extent>
+  Result<Cycles> deliver(DomainId actor, ChannelId channel,
+                         std::string_view op,
+                         std::span<const Request, Extent> requests,
+                         std::span<Result<Bytes>, Extent> replies);
 };
 
 }  // namespace lateral::substrate

@@ -176,7 +176,10 @@ struct SpanEvent {
     opcode = 0;
     for (std::size_t i = 0; i < 4 && i < data.size(); ++i)
       opcode = (opcode << 8) | data[i];
-    opcode <<= 8 * (4 - (data.size() < 4 ? data.size() : 4));
+    // Left-align a short opcode; an empty payload (an error reply, the kill
+    // stamp) stays 0 — shifting the 32-bit opcode by 32 would be undefined.
+    if (!data.empty())
+      opcode <<= 8 * (4 - (data.size() < 4 ? data.size() : 4));
     if (!capture) return;
     payload_len = static_cast<std::uint8_t>(
         data.size() < kCaptureBytes ? data.size() : kCaptureBytes);

@@ -25,7 +25,13 @@ using test::tc_spec;
 
 class ConformanceTest : public ::testing::TestWithParam<std::string> {
  protected:
-  void SetUp() override {
+  void SetUp() override { fresh_substrate(); }
+
+  /// Replace the substrate and its machine with new ones, for tests that
+  /// need a clean slate per case (a substrate hosts one legacy world, SEP
+  /// one trusted component).
+  void fresh_substrate() {
+    substrate_.reset();
     machine_ = test::make_machine("conformance-" + GetParam());
     auto substrate = test::shared_registry().create(GetParam(), *machine_);
     ASSERT_TRUE(substrate.ok());
@@ -710,6 +716,142 @@ TEST_P(ConformanceTest, FaultHookCrashesCalleeMidInvocation) {
             Errc::domain_dead);
   EXPECT_TRUE(substrate_->is_dead(b));
   substrate_->set_fault_hook(nullptr);
+}
+
+// --- A callee dying inside its own delivery ---------------------------------
+
+enum class SelfDeath { kill, destroy };
+enum class Entry { call, call_batch, call_sg, call_batch_sg };
+
+constexpr std::array<Entry, 4> kEntries{Entry::call, Entry::call_batch,
+                                        Entry::call_sg, Entry::call_batch_sg};
+
+const char* entry_name(Entry entry) {
+  switch (entry) {
+    case Entry::call: return "call";
+    case Entry::call_batch: return "call_batch";
+    case Entry::call_sg: return "call_sg";
+    case Entry::call_batch_sg: return "call_batch_sg";
+  }
+  return "?";
+}
+
+/// Deliver {"one", "die", "three", "four"} (sync entries: just "die") to a
+/// handler that kills or destroys its own domain on "die" and then keeps
+/// using the heap state it captured — freed handler state would be a
+/// use-after-free there. The running reply must come back, later requests
+/// must fail domain_dead without reaching the handler, and the reply
+/// direction must charge only the delivered replies.
+void expect_survives_self_death(IsolationSubstrate& sub, hw::Machine& machine,
+                                DomainId a, DomainId b, Entry entry,
+                                SelfDeath death) {
+  SCOPED_TRACE(entry_name(entry));
+  auto channel = sub.create_channel(a, b);
+  ASSERT_TRUE(channel.ok());
+  const auto state = std::make_shared<std::string>(64, 'h');
+  int deliveries = 0;
+  Cycles handler_done = 0;
+  auto handler = [&sub, &machine, &deliveries, &handler_done, state, death,
+                  b](const Invocation& inv) -> Result<Bytes> {
+    ++deliveries;
+    const std::string data(inv.data.begin(), inv.data.end());
+    if (data == "die") {
+      const Status s = death == SelfDeath::kill ? sub.kill_domain(b)
+                                                : sub.destroy_domain(b);
+      EXPECT_TRUE(s.ok());
+    }
+    Result<Bytes> reply = to_bytes(*state + ":" + data);
+    handler_done = machine.now();
+    return reply;
+  };
+  ASSERT_TRUE(sub.set_handler(b, std::move(handler)).ok());
+  const bool batch =
+      entry == Entry::call_batch || entry == Entry::call_batch_sg;
+  const std::vector<std::string> payloads =
+      batch ? std::vector<std::string>{"one", "die", "three", "four"}
+            : std::vector<std::string>{"die"};
+
+  std::vector<Result<Bytes>> replies;
+  switch (entry) {
+    case Entry::call:
+      replies.push_back(sub.call(a, *channel, to_bytes("die")));
+      break;
+    case Entry::call_sg:
+      // Zero segments, so the substrates without regions run it too.
+      replies.push_back(sub.call_sg(a, *channel, to_bytes("die"), {}));
+      break;
+    case Entry::call_batch: {
+      std::vector<Bytes> requests;
+      for (const std::string& p : payloads) requests.push_back(to_bytes(p));
+      auto out = sub.call_batch(a, *channel, requests);
+      ASSERT_TRUE(out.ok());
+      replies = std::move(out->replies);
+      break;
+    }
+    case Entry::call_batch_sg: {
+      auto region = sub.create_region(a, b, 4096);
+      ASSERT_TRUE(region.ok());
+      ASSERT_TRUE(sub.map_region(a, *region).ok());
+      ASSERT_TRUE(sub.map_region(b, *region).ok());
+      std::vector<SgRequest> requests;
+      for (std::size_t i = 0; i < payloads.size(); ++i) {
+        auto desc = sub.make_descriptor(a, *region, 64 * i, 64);
+        ASSERT_TRUE(desc.ok());
+        requests.push_back({to_bytes(payloads[i]), {*desc}});
+      }
+      auto out = sub.call_batch_sg(a, *channel, requests);
+      ASSERT_TRUE(out.ok());
+      replies = std::move(out->replies);
+      break;
+    }
+  }
+  const Cycles reply_direction = machine.now() - handler_done;
+
+  ASSERT_EQ(replies.size(), payloads.size());
+  const std::size_t died_at = batch ? 1 : 0;
+  EXPECT_EQ(deliveries, static_cast<int>(died_at + 1));
+  const Cycles fixed = sub.message_cost(0);
+  Cycles expected_reply = fixed;
+  for (std::size_t i = 0; i < replies.size(); ++i) {
+    if (i <= died_at) {
+      ASSERT_TRUE(replies[i].ok()) << i;
+      EXPECT_EQ(to_string(*replies[i]), *state + ":" + payloads[i]);
+      expected_reply += sub.message_cost(replies[i]->size()) - fixed;
+    } else {
+      EXPECT_EQ(replies[i].error(), Errc::domain_dead) << i;
+    }
+  }
+  EXPECT_EQ(reply_direction, expected_reply);
+
+  // The corpse answers domain_dead; a destroyed domain took its channels
+  // with it, so the next call finds no channel at all.
+  EXPECT_EQ(sub.call(a, *channel, to_bytes("again")).error(),
+            death == SelfDeath::kill ? Errc::domain_dead
+                                     : Errc::no_such_channel);
+  EXPECT_EQ(sub.is_dead(b), death == SelfDeath::kill);
+  EXPECT_EQ(deliveries, static_cast<int>(died_at + 1));
+}
+
+TEST_P(ConformanceTest, HandlerKillingItsOwnDomainMidDeliverySurvives) {
+  for (const Entry entry : kEntries) {
+    fresh_substrate();
+    if (entry == Entry::call_batch_sg && !substrate_->supports_regions())
+      continue;
+    auto [a, b] = make_pair();
+    expect_survives_self_death(*substrate_, *machine_, a, b, entry,
+                               SelfDeath::kill);
+  }
+}
+
+TEST_P(ConformanceTest, HandlerDestroyingItsOwnDomainMidDeliverySurvives) {
+  for (const Entry entry : kEntries) {
+    fresh_substrate();
+    if (entry == Entry::call_batch_sg && !substrate_->supports_regions())
+      continue;
+    auto [a, b] = make_pair();
+    expect_survives_self_death(*substrate_, *machine_, a, b, entry,
+                               SelfDeath::destroy);
+  }
 }
 
 // --- Grant regions (zero-copy data plane) -----------------------------------
