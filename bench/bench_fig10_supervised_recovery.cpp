@@ -27,7 +27,7 @@
 #include "bench_common.h"
 #include "core/attestation.h"
 #include "core/composer.h"
-#include "runtime/batch_channel.h"
+#include "runtime/completion_queue.h"
 #include "supervisor/supervisor.h"
 #include "util/table.h"
 
@@ -101,7 +101,7 @@ Outcome run_recovery(const std::string& substrate_name) {
   // means every one of them completes (with domain_dead, honestly).
   auto endpoint = (*assembly)->endpoint("front", "worker");
   if (!endpoint) return out;
-  runtime::BatchChannel batch(*endpoint);
+  runtime::CompletionQueue batch(*endpoint);
 
   const Bytes data = to_bytes("req");
   bool crash_armed = false;
@@ -128,9 +128,8 @@ Outcome run_recovery(const std::string& substrate_name) {
       t_kill = machine->now();
       // Resolve the in-flight batch against the corpse: all entries must
       // complete promptly with the honest error.
-      (void)batch.flush();
-      while (batch.next_completion().ok()) {
-      }
+      (void)batch.doorbell();
+      (void)batch.reap();
       out.inflight_completed = batch.metrics().completed;
     }
     // Supervision loop: periodic passes until the component serves again.

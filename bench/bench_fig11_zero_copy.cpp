@@ -9,10 +9,10 @@
 // O(payload) — per-crossing cycles independent of payload size.
 //
 // This benchmark drives the identical bulk workload (batch of 32
-// invocations per flush, small reply) through:
-//   copy — BatchChannel::submit: every payload byte is copied across by
+// invocations per doorbell, small reply) through:
+//   copy — CompletionQueue::submit: every payload byte is copied across by
 //          call_batch's delivery (already single-copy: moved buffers);
-//   zero-copy — BatchChannel::submit_sg: payload resident in a grant
+//   zero-copy — CompletionQueue::submit_sg: payload resident in a grant
 //          region, consumer reads it in place via region_view (constant
 //          cost per descriptor).
 // The one-time region map cost is paid at setup and reported separately;
@@ -35,7 +35,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "runtime/batch_channel.h"
+#include "runtime/completion_queue.h"
 #include "util/table.h"
 
 using namespace lateral;
@@ -85,22 +85,19 @@ Cycles measure_copy(Rig& rig, std::size_t payload) {
       rig.server, [](const substrate::Invocation&) -> Result<Bytes> {
         return Bytes(8, 0xAC);
       });
-  runtime::BatchChannel batch(*rig.substrate, rig.client, rig.channel,
-                              {.depth = kBatch, .hub = nullptr, .label = {}});
+  runtime::CompletionQueue batch(*rig.substrate, rig.client, rig.channel);
   const Bytes data(payload, 0x5A);
   // Warm-up round so both paths start from identical machine state.
   (void)batch.submit(data);
-  (void)batch.flush();
-  while (batch.next_completion().ok()) {
-  }
+  (void)batch.doorbell();
+  (void)batch.reap();
   const Cycles before = rig.machine->now();
   const int kRounds = 8;
   for (int round = 0; round < kRounds; ++round) {
     for (std::size_t i = 0; i < kBatch; ++i)
       (void)batch.submit(Bytes(data));  // move-in: one copy here, none in ring
-    (void)batch.flush();
-    while (batch.next_completion().ok()) {
-    }
+    (void)batch.doorbell();
+    (void)batch.reap();
   }
   return (rig.machine->now() - before) / (kRounds * kBatch);
 }
@@ -151,21 +148,18 @@ Result<Cycles> measure_zero_copy(Rig& rig, std::size_t payload,
     slots.push_back(*desc);
   }
 
-  runtime::BatchChannel batch(*rig.substrate, rig.client, rig.channel,
-                              {.depth = kBatch, .hub = nullptr, .label = {}});
+  runtime::CompletionQueue batch(*rig.substrate, rig.client, rig.channel);
   const Bytes header(8, 0x11);
   (void)batch.submit_sg(header, {slots[0]});
-  (void)batch.flush();
-  while (batch.next_completion().ok()) {
-  }
+  (void)batch.doorbell();
+  (void)batch.reap();
   const Cycles before = rig.machine->now();
   const int kRounds = 8;
   for (int round = 0; round < kRounds; ++round) {
     for (std::size_t i = 0; i < kBatch; ++i)
       (void)batch.submit_sg(header, {slots[i]});
-    (void)batch.flush();
-    while (batch.next_completion().ok()) {
-    }
+    (void)batch.doorbell();
+    (void)batch.reap();
   }
   return (rig.machine->now() - before) / (kRounds * kBatch);
 }

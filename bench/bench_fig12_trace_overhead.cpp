@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "runtime/batch_channel.h"
+#include "runtime/completion_queue.h"
 #include "trace/exporter.h"
 #include "trace/trace.h"
 #include "util/table.h"
@@ -87,15 +87,13 @@ Cycles measure(const std::string& substrate_name, Mode mode,
   if (mode == Mode::enabled) scope.emplace(tracer->begin_trace());
 
   const std::size_t kBatch = 32;
-  runtime::BatchChannel batch(*rig.substrate, rig.client, rig.channel,
-                              {.depth = kBatch, .hub = nullptr, .label = {}});
+  runtime::CompletionQueue batch(*rig.substrate, rig.client, rig.channel);
   const Cycles before = rig.machine->now();
   const int kRounds = 8;
   for (int round = 0; round < kRounds; ++round) {
     for (std::size_t i = 0; i < kBatch; ++i) (void)batch.submit(data);
-    (void)batch.flush();
-    while (batch.next_completion().ok()) {
-    }
+    (void)batch.doorbell();
+    (void)batch.reap();
   }
   return (rig.machine->now() - before) /
          (kRounds * static_cast<Cycles>(kBatch));

@@ -3,7 +3,7 @@
 // The paper's horizontal paradigm splits an app into many small domains —
 // which is exactly the shape that scales across cores, IF the substrate
 // lets concurrent crossings proceed. This benchmark pins that down: the
-// FIG9b echo workload (batch-32 through runtime::BatchChannel), replicated
+// FIG9b echo workload (batch-32 through runtime::CompletionQueue), replicated
 // one shard per core (own server domain, own channel, own arena — the
 // `shard N` manifest layout), driven round-robin across 1/2/4/8 simulated
 // cores. Throughput is total calls over the machine's global epoch
@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "runtime/batch_channel.h"
+#include "runtime/completion_queue.h"
 #include "util/table.h"
 
 using namespace lateral;
@@ -39,7 +39,7 @@ namespace {
 struct Shard {
   substrate::DomainId client = 0;
   substrate::ChannelId channel = 0;
-  std::unique_ptr<runtime::BatchChannel> batch;
+  std::unique_ptr<runtime::CompletionQueue> batch;
 };
 
 struct ScaleRun {
@@ -84,9 +84,8 @@ ScaleRun measure_scaling(const std::string& substrate_name,
             return Bytes(inv.data.begin(), inv.data.end());  // echo
           });
     }
-    shards[i].batch = std::make_unique<runtime::BatchChannel>(
-        *sub, shards[i].client, shards[i].channel,
-        runtime::BatchChannelConfig{.depth = kBatch});
+    shards[i].batch = std::make_unique<runtime::CompletionQueue>(
+        *sub, shards[i].client, shards[i].channel);
     // Warm-up crossing so lazy setup costs land outside the window.
     (void)sub->call(shards[i].client, shards[i].channel,
                     Bytes(kPayload, 0x5A));
@@ -106,9 +105,8 @@ ScaleRun measure_scaling(const std::string& substrate_name,
       hw::CoreLease lease(machine, i);
       for (std::size_t k = 0; k < kBatch; ++k)
         (void)shards[i].batch->submit(data);
-      (void)shards[i].batch->flush();
-      while (shards[i].batch->next_completion().ok()) {
-      }
+      (void)shards[i].batch->doorbell();
+      (void)shards[i].batch->reap();
     }
   }
 

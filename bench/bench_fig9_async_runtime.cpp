@@ -7,7 +7,8 @@
 // channel crosses the boundary once per batch instead of once per call.
 //
 // This benchmark drives the identical workload through the synchronous
-// per-call path and through BatchChannel at several batch sizes, on every
+// per-call path and through a CompletionQueue at several fixed batch sizes,
+// and an adaptive CompletionQueue against a fixed batch-32 one, on every
 // substrate, and reports simulated cycles per call. Acceptance bar: at
 // batch 32 the batched path is at least 5x cheaper per call on the
 // substrates with meaningful crossing costs.
@@ -17,7 +18,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "runtime/batch_channel.h"
 #include "runtime/completion_queue.h"
 #include "runtime/metrics.h"
 #include "util/table.h"
@@ -64,7 +64,8 @@ Cycles measure_sync(const std::string& substrate_name, std::size_t payload) {
   return (rig.machine->now() - before) / kCalls;
 }
 
-/// Cycles per call through BatchChannel at the given batch size. When a
+/// Cycles per call through a CompletionQueue rung once per `batch_size`
+/// submissions. When a
 /// hub is supplied, per-invocation submit->complete latencies land in its
 /// "fig9" counters (p50/p99 below come from there).
 Cycles measure_batched(const std::string& substrate_name, std::size_t payload,
@@ -74,16 +75,16 @@ Cycles measure_batched(const std::string& substrate_name, std::size_t payload,
   const Bytes data(payload, 0x5A);
   (void)rig.substrate->call(rig.client, rig.channel, data);  // warm-up
 
-  runtime::BatchChannel batch(*rig.substrate, rig.client, rig.channel,
-                              {.depth = batch_size, .hub = hub,
-                               .label = "fig9"});
+  runtime::CompletionQueueConfig config;
+  config.hub = hub;
+  config.label = "fig9";
+  runtime::CompletionQueue cq(*rig.substrate, rig.client, rig.channel, config);
   const Cycles before = rig.machine->now();
   const int kRounds = 8;
   for (int round = 0; round < kRounds; ++round) {
-    for (std::size_t i = 0; i < batch_size; ++i) (void)batch.submit(data);
-    (void)batch.flush();
-    while (batch.next_completion().ok()) {
-    }
+    for (std::size_t i = 0; i < batch_size; ++i) (void)cq.submit(data);
+    (void)cq.doorbell();
+    (void)cq.reap();
   }
   return (rig.machine->now() - before) /
          (kRounds * static_cast<Cycles>(batch_size));
@@ -164,7 +165,7 @@ CqRun measure_cq(const std::string& substrate_name, std::size_t payload,
 void run_report() {
   std::printf("== FIG9: amortized boundary crossing (cycles per call) ==\n");
   std::printf("(16 B echo; sync = one crossing per call, batch-N = one\n");
-  std::printf(" crossing per N submissions through runtime::BatchChannel)\n\n");
+  std::printf(" crossing per N submissions through runtime::CompletionQueue)\n\n");
 
   const std::size_t kPayload = 16;
   util::Table table({"substrate", "sync", "batch 8", "batch 32", "batch 128",
@@ -224,22 +225,19 @@ void run_report() {
   std::printf("stragglers parked until the next occupancy trigger).\n\n");
 }
 
-void BM_BatchFlushWallClock(benchmark::State& state) {
+void BM_DoorbellWallClock(benchmark::State& state) {
   // Wall-clock cost of the batching machinery itself (not modeled cycles).
   Rig rig = make_rig("microkernel");
-  runtime::BatchChannel batch(
-      *rig.substrate, rig.client, rig.channel,
-      {.depth = static_cast<std::size_t>(state.range(0)), .hub = nullptr, .label = {}});
+  runtime::CompletionQueue cq(*rig.substrate, rig.client, rig.channel);
   const Bytes data(16, 1);
   for (auto _ : state) {
-    for (int i = 0; i < state.range(0); ++i) (void)batch.submit(data);
-    benchmark::DoNotOptimize(batch.flush());
-    while (batch.next_completion().ok()) {
-    }
+    for (int i = 0; i < state.range(0); ++i) (void)cq.submit(data);
+    benchmark::DoNotOptimize(cq.doorbell());
+    benchmark::DoNotOptimize(cq.reap());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_BatchFlushWallClock)->Arg(8)->Arg(32)->Arg(128);
+BENCHMARK(BM_DoorbellWallClock)->Arg(8)->Arg(32)->Arg(128);
 
 void register_json_benchmarks() {
   // Machine-readable mirror of the report table: one benchmark per

@@ -7,7 +7,7 @@
 // then pipelines all FETCHes through runtime::AsyncRemoteProxy: N requests,
 // one sealed burst, one network exchange, replies matched by request id.
 // The fetched messages land in the local decomposed MailClient through a
-// runtime::BatchChannel on the manifest-declared ui->storage wire — one
+// runtime::CompletionQueue on the manifest-declared ui->storage wire — one
 // boundary crossing for the whole batch — and are rendered by the isolated
 // renderer as usual. Every hop is the trustworthy path from the paper; the
 // runtime only changes how often its tolls are paid.
@@ -25,7 +25,7 @@
 #include "net/network.h"
 #include "net/secure_channel.h"
 #include "runtime/async_proxy.h"
-#include "runtime/batch_channel.h"
+#include "runtime/completion_queue.h"
 
 using namespace lateral;
 
@@ -126,8 +126,17 @@ int main() {
       {.depth = 32, .hub = nullptr, .label = {}});
 
   // --- Login + select (sequential), then the pipelined fetch ---------------
-  auto login = proxy.call("imap", to_bytes("LOGIN alice token123"));
-  auto selected = proxy.call("imap", to_bytes("SELECT INBOX"));
+  // One burst per command: SELECT must not run before LOGIN has answered.
+  const auto command = [&proxy](const char* line) -> Result<Bytes> {
+    if (auto id = proxy.submit("imap", to_bytes(line)); !id) return id.error();
+    if (const Status s = proxy.flush(); !s.ok()) return s.error();
+    std::vector<runtime::CqEvent> events = proxy.reap();
+    if (events.size() != 1) return Errc::io_error;
+    if (!events[0].ok()) return events[0].status;
+    return std::move(events[0].payload);
+  };
+  auto login = command("LOGIN alice token123");
+  auto selected = command("SELECT INBOX");
   if (!login || !selected) {
     std::printf("login failed\n");
     return 1;
@@ -152,23 +161,26 @@ int main() {
   // --- Batched store into the isolated storage component -------------------
   mail::MailClient& mc = **client;
   auto storage_ep = mc.assembly().endpoint("ui", "storage");
-  runtime::BatchChannel stores(
-      *storage_ep,
-      {.depth = 16, .hub = &mc.runtime_metrics(), .label = "ui->storage"});
-  std::vector<runtime::SubmissionId> store_ids;
-  for (const runtime::RequestId id : fetch_ids) {
-    auto reply = proxy.take(id);
-    if (!reply) return 1;
-    const std::string line = to_string(*reply);  // "OK\n<message wire>"
+  runtime::CompletionQueue stores(*storage_ep,
+                                 {.depth = 16,
+                                  .adaptive = {},
+                                  .hub = &mc.runtime_metrics(),
+                                  .label = "ui->storage"});
+  // reap() hands the fetch replies back oldest request id first, i.e. in
+  // FETCH order.
+  for (const runtime::CqEvent& fetch : proxy.reap()) {
+    if (!fetch.ok()) return 1;
+    const std::string line = to_string(fetch.payload);  // "OK\n<message wire>"
     if (line.rfind("OK\n", 0) != 0) return 1;
-    Bytes request = to_bytes("STORE INBOX\n" + line.substr(3));
-    store_ids.push_back(*stores.submit(request));
+    if (!stores.submit(to_bytes("STORE INBOX\n" + line.substr(3)))) return 1;
   }
-  if (!stores.flush().ok()) return 1;
-  for (const runtime::SubmissionId id : store_ids)
-    if (!stores.wait(id).ok()) return 1;
+  if (!stores.doorbell().ok()) return 1;
+  auto stored = stores.reap();
+  if (!stored) return 1;
+  for (const runtime::CqEvent& store : *stored)
+    if (!store.ok()) return 1;
   std::printf("stored %zu message(s) through one ui->storage crossing\n",
-              store_ids.size());
+              stored->size());
 
   // --- Use the mail as usual -------------------------------------------------
   auto display = mc.read_mail(0);

@@ -108,7 +108,7 @@ class Assembly {
                                      const std::string& from);
 
   /// The epoch-stamped endpoint of `from`'s side of its declared channel to
-  /// `to` — what lateral::runtime's batched adapters (BatchChannel) drive.
+  /// `to` — what lateral::runtime's CompletionQueue drives.
   /// The manifest check happens here, once, when the endpoint is handed
   /// out; the substrate's reference monitor still checks every use, and the
   /// endpoint itself goes stale (Errc::stale_epoch) when a supervised

@@ -25,7 +25,7 @@
 //
 // A supervised restart of the service domain plugs in via
 // on_service_restart(): tickets rotate (all outstanding ones die), live
-// sessions drop, and the batch channel re-attaches to the new epoch.
+// sessions drop, and the completion queue re-attaches to the new epoch.
 #pragma once
 
 #include <deque>
@@ -58,9 +58,9 @@ struct FleetServerConfig {
   net::SimNetwork* network = nullptr;
   substrate::IsolationSubstrate* substrate = nullptr;
   /// The attested service (e.g. the SGX anonymizer): prover identity for
-  /// handshakes AND callee of the batched channel.
+  /// handshakes AND callee of the completion queue.
   substrate::DomainId service_domain = substrate::kInvalidDomain;
-  /// Untrusted frontend domain acting as the batch channel's caller side.
+  /// Untrusted frontend domain acting as the completion queue's caller side.
   substrate::DomainId frontend_domain = substrate::kInvalidDomain;
   substrate::ChannelId service_channel = 0;
 
@@ -128,8 +128,8 @@ class FleetServer {
   /// Supervised-restart hook: the service domain was relaunched as
   /// `new_service_domain`. Rotates the ticket key (outstanding tickets fail
   /// to unseal -> full-handshake fallback), drops every live session (their
-  /// record keys belong to the dead incarnation), and re-attaches the batch
-  /// channel at the channel's new epoch.
+  /// record keys belong to the dead incarnation), and re-attaches the completion
+  /// queue at the channel's new epoch.
   void on_service_restart(substrate::DomainId new_service_domain);
 
   std::size_t sessions() const { return sessions_.size(); }

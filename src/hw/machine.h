@@ -172,9 +172,9 @@ class Machine {
 };
 
 /// Scoped "this work runs on core i": sets the machine's active core and
-/// restores the previous one on destruction. The executor takes a lease
-/// inside its striped substrate lock, so per-core accounting composes with
-/// the existing serialization of simulated-machine access.
+/// restores the previous one on destruction. Code driving a shard takes a
+/// lease around that shard's work (bench_fig13 does, per shard), so its
+/// crossings accrue to that core's clock.
 class CoreLease {
  public:
   CoreLease(Machine& machine, std::size_t core)

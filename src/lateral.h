@@ -64,8 +64,7 @@
 #include "net/remote.h"
 #include "net/secure_channel.h"
 #include "runtime/async_proxy.h"
-#include "runtime/batch_channel.h"
-#include "runtime/executor.h"
+#include "runtime/completion_queue.h"
 #include "runtime/metrics.h"
 #include "runtime/spsc_ring.h"
 #include "toolbox/anonymizer.h"

@@ -4,7 +4,7 @@
 #include <cstdlib>
 #include <optional>
 
-#include "runtime/batch_channel.h"
+#include "runtime/completion_queue.h"
 #include "runtime/region_pool.h"
 
 namespace lateral::mail {
@@ -321,12 +321,17 @@ Result<std::size_t> MailClient::sync_inbox() {
   if (!storage_ep) return storage_ep.error();
 
   constexpr std::size_t kSyncBurst = 32;
-  runtime::BatchChannel fetches(
-      *imap_ep,
-      {.depth = kSyncBurst, .hub = &runtime_metrics_, .label = "ui->imap"});
-  runtime::BatchChannel stores(
-      *storage_ep,
-      {.depth = kSyncBurst, .hub = &runtime_metrics_, .label = "ui->storage"});
+  // Each ring holds one burst; reap() rings the doorbell once per burst.
+  runtime::CompletionQueue fetches(*imap_ep,
+                                   {.depth = kSyncBurst,
+                                    .adaptive = {.max_batch = kSyncBurst},
+                                    .hub = &runtime_metrics_,
+                                    .label = "ui->imap"});
+  runtime::CompletionQueue stores(*storage_ep,
+                                  {.depth = kSyncBurst,
+                                   .adaptive = {.max_batch = kSyncBurst},
+                                   .hub = &runtime_metrics_,
+                                   .label = "ui->storage"});
 
   // Message bodies ride the zero-copy data plane when the substrate can
   // realize the manifest-declared ui<->storage grant region: the STORE
@@ -347,24 +352,21 @@ Result<std::size_t> MailClient::sync_inbox() {
 
   while (local < remote) {
     const std::size_t burst = std::min(kSyncBurst, remote - local);
-    std::vector<runtime::SubmissionId> fetch_ids;
-    fetch_ids.reserve(burst);
     for (std::size_t i = 0; i < burst; ++i) {
       auto id = fetches.submit(to_bytes("FETCH " + std::to_string(local + i)));
       if (!id) return id.error();
-      fetch_ids.push_back(*id);
     }
-    if (const Status s = fetches.flush(); !s.ok()) return s.error();
+    // Events come back in submission order: FETCH i's reply is event i.
+    auto fetched = fetches.reap();
+    if (!fetched) return fetched.error();
 
-    std::vector<runtime::SubmissionId> store_ids;
-    store_ids.reserve(burst);
     const Bytes store_header = to_bytes("STORE INBOX\n");
-    for (const runtime::SubmissionId id : fetch_ids) {
-      auto wire = fetches.wait(id);
-      if (!wire) return wire.error();
+    for (const runtime::CqEvent& fetch : *fetched) {
+      if (!fetch.ok()) return fetch.status;
+      const Bytes& wire = fetch.payload;
       Result<runtime::SubmissionId> stored = Errc::no_region_support;
       if (body_pool) {
-        stored = stores.submit_staged(*body_pool, store_header, *wire);
+        stored = stores.submit_staged(*body_pool, store_header, wire);
         // A body too big for a slot (or a momentarily drained pool) falls
         // back to the copy path for that one message — correctness never
         // depends on the fast path.
@@ -374,16 +376,15 @@ Result<std::size_t> MailClient::sync_inbox() {
       }
       if (!stored) {
         Bytes request = store_header;
-        request.insert(request.end(), wire->begin(), wire->end());
+        request.insert(request.end(), wire.begin(), wire.end());
         stored = stores.submit(std::move(request));
         if (!stored) return stored.error();
       }
-      store_ids.push_back(*stored);
     }
-    if (const Status s = stores.flush(); !s.ok()) return s.error();
-    for (const runtime::SubmissionId id : store_ids) {
-      auto stored = stores.wait(id);
-      if (!stored) return stored.error();
+    auto acked = stores.reap();
+    if (!acked) return acked.error();
+    for (const runtime::CqEvent& store : *acked) {
+      if (!store.ok()) return store.status;
       ++local;
     }
   }

@@ -160,7 +160,7 @@ Result<RequestId> AsyncRemoteProxy::submit(const std::string& method,
   // now rather than letting the tail of a deep queue age. A flush failure
   // here leaves the submission queued (or completed with the transport's
   // error) — either way the caller's id stays valid and the outcome
-  // surfaces through take()/reap().
+  // surfaces through reap().
   if (config_.adaptive.adaptive && pending_.size() >= controller_.depth())
     (void)flush();
   return id;
@@ -183,9 +183,12 @@ Status AsyncRemoteProxy::cancel(RequestId id) {
 Status AsyncRemoteProxy::flush() {
   if (pending_.empty()) return Status::success();
 
-  // Seal in submission order. From the first seal on we are committed:
-  // the channel's send sequence has advanced, so any failure past this
-  // point is a channel-level failure, not a retryable one.
+  // Seal in submission order. Sealing fails only on a channel that is not
+  // established, i.e. before the first record: the calls stay queued. From
+  // the first seal on we are committed — the channel's send sequence has
+  // advanced, so a call left queued would be sealed (and run by the peer)
+  // a second time on the next flush. Every sent call terminates below,
+  // exactly once.
   std::vector<Bytes> records;
   records.reserve(pending_.size());
   for (const PendingCall& call : pending_) {
@@ -194,65 +197,63 @@ Status AsyncRemoteProxy::flush() {
     if (!record) return record.error();
     records.push_back(std::move(*record));
   }
-
-  const std::size_t burst = pending_.size();
-  auto reply_records = transport_(records);
-  counters_->record_batch(burst);
-  ++counters_->doorbells;
-  if (!reply_records) {
-    // The burst is gone (sequence space consumed) but the invocations are
-    // not silently lost: each completes with the transport's error.
-    for (const PendingCall& call : pending_) {
-      ++counters_->completed;
-      completions_.emplace(call.id,
-                           CqEvent{call.id, reply_records.error(), {}, 0});
-    }
-    pending_.clear();
-    return Status::success();
-  }
-  if (reply_records->size() != burst) return Errc::io_error;
-
-  std::vector<PendingCall> sent = std::move(pending_);
+  const std::vector<PendingCall> sent = std::move(pending_);
   pending_.clear();
-  std::map<RequestId, Cycles> submitted_at;
+  // Sent ids still waiting for their reply, with their submit clocks.
+  std::map<RequestId, Cycles> unanswered;
   for (const PendingCall& call : sent)
-    submitted_at.emplace(call.id, call.submitted_at);
-  const Cycles now = clock_now();
-  // Windowed latency histogram for this exchange alone — the controller
-  // judges the current burst depth by what *this* burst cost, not by the
-  // cumulative history the exported counters keep.
-  InvocationCounters window;
-  for (const Bytes& record : *reply_records) {
-    auto plain = channel_.open_record(record);
-    if (!plain) return plain.error();
-    if (plain->size() < 5) return Errc::invalid_argument;
-    CqEvent event;
-    event.id = get_u32(*plain);
-    event.status = static_cast<Errc>((*plain)[4]);
-    if (event.status == Errc::ok)
-      event.payload.assign(plain->begin() + 5, plain->end());
-    if (const auto sub = submitted_at.find(event.id);
-        config_.clock && sub != submitted_at.end()) {
-      event.cycles = now - sub->second;
-      if (event.cycles > 0) {
-        window.record_latency(event.cycles);
-        counters_->record_latency(event.cycles);
+    unanswered.emplace(call.id, call.submitted_at);
+
+  auto reply_records = transport_(records);
+  counters_->record_batch(sent.size());
+  ++counters_->doorbells;
+  // What ends the calls no reply answers: the transport's error, a reply
+  // record that breaks the burst, or (every record opened) a missing reply.
+  Errc burst_error = Errc::io_error;
+  if (!reply_records) {
+    burst_error = reply_records.error();
+  } else {
+    const Cycles now = clock_now();
+    // Windowed latency histogram for this exchange alone — the controller
+    // judges the current burst depth by what *this* burst cost, not by the
+    // cumulative history the exported counters keep.
+    InvocationCounters window;
+    for (const Bytes& record : *reply_records) {
+      auto plain = channel_.open_record(record);
+      if (!plain) {
+        // The receive sequence is broken: no later record opens either.
+        burst_error = Errc::verification_failed;
+        break;
       }
+      if (plain->size() < 5) break;  // short record: io_error
+      const auto sub = unanswered.find(get_u32(*plain));
+      if (sub == unanswered.end()) continue;  // not sent here, or a repeat
+      CqEvent event;
+      event.id = sub->first;
+      event.status = static_cast<Errc>((*plain)[4]);
+      if (event.status == Errc::ok)
+        event.payload.assign(plain->begin() + 5, plain->end());
+      if (config_.clock) {
+        event.cycles = now - sub->second;
+        if (event.cycles > 0) {
+          window.record_latency(event.cycles);
+          counters_->record_latency(event.cycles);
+        }
+      }
+      unanswered.erase(sub);
+      ++counters_->completed;
+      completions_.emplace(event.id, std::move(event));
     }
+    controller_.observe(sent.size(), window.latency_percentile(0.50),
+                        window.latency_percentile(0.99));
+    counters_->adaptive_depth = controller_.depth();
+    counters_->adaptive_grows = controller_.grows();
+    counters_->adaptive_shrinks = controller_.shrinks();
+  }
+  for (const auto& [id, submitted_at] : unanswered) {
     ++counters_->completed;
-    completions_.emplace(event.id, std::move(event));
+    completions_.emplace(id, CqEvent{id, burst_error, {}, 0});
   }
-  for (const PendingCall& call : sent) {
-    // A reply burst that skipped one of our ids is a protocol violation;
-    // the invocation must still terminate.
-    if (!completions_.contains(call.id))
-      completions_.emplace(call.id, CqEvent{call.id, Errc::io_error, {}, 0});
-  }
-  controller_.observe(burst, window.latency_percentile(0.50),
-                      window.latency_percentile(0.99));
-  counters_->adaptive_depth = controller_.depth();
-  counters_->adaptive_grows = controller_.grows();
-  counters_->adaptive_shrinks = controller_.shrinks();
   return Status::success();
 }
 
@@ -280,32 +281,6 @@ std::size_t AsyncRemoteProxy::for_each_completion(
     ++n;
   }
   return n;
-}
-
-Result<Bytes> AsyncRemoteProxy::take(RequestId id) {
-  if (const auto it = completions_.find(id); it != completions_.end()) {
-    CqEvent event = std::move(it->second);
-    completions_.erase(it);
-    if (event.status != Errc::ok) return event.status;
-    return std::move(event.payload);
-  }
-  for (const PendingCall& call : pending_)
-    if (call.id == id) return Errc::would_block;
-  return Errc::invalid_argument;
-}
-
-Result<Bytes> AsyncRemoteProxy::wait(RequestId id) {
-  auto first = take(id);
-  if (first || first.error() != Errc::would_block) return first;
-  if (const Status s = flush(); !s.ok()) return s.error();
-  return take(id);
-}
-
-Result<Bytes> AsyncRemoteProxy::call(const std::string& method,
-                                     BytesView payload) {
-  auto id = submit(method, payload);
-  if (!id) return id.error();
-  return wait(*id);
 }
 
 }  // namespace lateral::runtime

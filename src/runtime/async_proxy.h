@@ -102,34 +102,23 @@ class AsyncRemoteProxy {
   /// Withdraw a queued (not yet flushed) submission.
   Status cancel(RequestId id);
 
-  /// Seal every queued submission and run one transport exchange.
-  /// Replies become retrievable via take()/wait(). On transport failure
-  /// the submissions stay queued (sealing happens only on success paths —
-  /// see header comment — so a retry flush is safe).
+  /// Seal every queued submission and run one transport exchange. Once
+  /// the first record is sealed the channel's send sequence has moved, so
+  /// every queued call terminates exactly once inside this flush: with its
+  /// reply, or with the error that ended the burst (the transport's error;
+  /// verification_failed from a reply record that does not open; io_error
+  /// for a short reply record or a reply the burst is missing). Reply ids
+  /// that were not sent in this burst, or that repeat one already
+  /// answered, are dropped. An error return (the channel is not
+  /// established) means nothing was sealed and the calls stay queued.
   Status flush();
 
   /// Drain up to `max` completed events (0 = all), oldest request id
-  /// first — the CqEvent batch-drain face of the proxy. Never touches the
-  /// wire; pair with flush() (or adaptive auto-flush).
+  /// first. Never touches the wire; pair with flush() (or adaptive
+  /// auto-flush).
   std::vector<CqEvent> reap(std::size_t max = 0);
   /// Apply `fn` to every completed event and return how many were drained.
   std::size_t for_each_completion(const std::function<void(CqEvent&)>& fn);
-
-  /// Retrieve the reply for `id`; Errc::would_block while still queued or
-  /// in flight, Errc::invalid_argument for unknown ids. Remote refusals
-  /// come back as their original error codes. (Future-style shim over the
-  /// CqEvent store — batch consumers use reap/for_each_completion.)
-  Result<Bytes> take(RequestId id);
-
-  /// flush() if needed, then take(id).
-  Result<Bytes> wait(RequestId id);
-
-  /// Single-call convenience — a thin shim over the batched path
-  /// (submit + the same flush every pipelined burst uses + take). There is
-  /// no separate single-call wire path: anything else queued rides the
-  /// same transport exchange. Prefer submit()/flush()/reap() in new code;
-  /// see docs/runtime.md for the migration table.
-  Result<Bytes> call(const std::string& method, BytesView payload);
 
   std::size_t pending() const { return pending_.size(); }
   /// The adaptive controller's current burst target.

@@ -1,7 +1,7 @@
 // Runtime metrics — the observability half of the batching contract.
 //
-// Every BatchChannel / Executor accounts each accepted invocation to
-// exactly one terminal counter (completed, cancelled, timed_out), and each
+// Every CompletionQueue and AsyncRemoteProxy accounts each accepted
+// invocation to exactly one terminal counter (completed, cancelled, timed_out), and each
 // refused one to `rejected`. That makes lossless backpressure *checkable*:
 //   submitted == completed + cancelled + timed_out + in_flight()
 // holds at every instant, and tests assert it under sustained overload.
@@ -47,7 +47,7 @@ struct InvocationCounters {
 
   // --- Completion-queue shape (lateral::cq) ---
   /// Coalesced ring crossings: one doorbell flushes the submission ring AND
-  /// drains the completion ring for a single crossing charge.
+  /// lands every completion for a single crossing charge.
   std::uint64_t doorbells = 0;
   /// The adaptive controller's current batch-depth target (a gauge, not a
   /// counter: the last exported value), plus its decision counters. A fixed
@@ -291,37 +291,6 @@ struct UpdateStats {
   }
 };
 
-/// Multi-core scheduling observability (FIG13). Published per label by the
-/// Executor (steals/migrations + per-core run-queue depth gauges) and by
-/// whoever drives a microkernel Scheduler (ipi_kicks), plus the machine's
-/// contention counter and the substrate's serialization-gate stalls — the
-/// four signals that attribute a flattened scaling curve: work moved
-/// (migrations), work bounced (contention), work queued behind the
-/// architecture (serial_stalls).
-struct SchedStats {
-  std::uint64_t steals = 0;       // domain queues taken by an idle worker
-  std::uint64_t migrations = 0;   // domains that changed home core/worker
-  std::uint64_t ipi_kicks = 0;    // cross-core kicks those moves sent
-  std::uint64_t contention_events = 0;  // shared-bus/cache penalties charged
-  std::uint64_t serial_stalls = 0;      // crossings queued at a serial gate
-  Cycles serial_stall_cycles = 0;       // cycles spent in those queues
-  /// Current run-queue depth per core (a gauge: last published value).
-  std::vector<std::uint64_t> run_queue_depth;
-
-  MetricFields fields() const {
-    MetricFields out{{"steals", steals},
-                     {"migrations", migrations},
-                     {"ipi_kicks", ipi_kicks},
-                     {"contention_events", contention_events},
-                     {"serial_stalls", serial_stalls},
-                     {"serial_stall_cycles", serial_stall_cycles}};
-    for (std::size_t core = 0; core < run_queue_depth.size(); ++core)
-      out.emplace_back("run_queue_depth_core" + std::to_string(core),
-                       run_queue_depth[core]);
-    return out;
-  }
-};
-
 /// Health-plane observability (lateral::health, FIG16). Every watchdog
 /// tick bumps evaluations; a confirmed multi-window breach lands in exactly
 /// one of p99_breaches / error_breaches, and escalations counts the ones
@@ -481,24 +450,6 @@ class MetricsHub {
     return out;
   }
 
-  using SchedSlot = Slot<SchedStats>;
-  using SchedRef = Ref<SchedStats>;
-
-  SchedRef sched(const std::string& label) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return SchedRef(&sched_[label]);
-  }
-
-  std::map<std::string, SchedStats> all_sched() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::map<std::string, SchedStats> out;
-    for (const auto& [label, slot] : sched_) {
-      std::lock_guard<std::mutex> slot_lock(slot.mu);
-      out.emplace(label, slot.value);
-    }
-    return out;
-  }
-
   using HealthSlot = Slot<HealthStats>;
   using HealthRef = Ref<HealthStats>;
 
@@ -523,7 +474,6 @@ class MetricsHub {
   std::map<std::string, RecoverySlot> recovery_;
   std::map<std::string, FleetSlot> fleet_;
   std::map<std::string, UpdateSlot> update_;
-  std::map<std::string, SchedSlot> sched_;
   std::map<std::string, HealthSlot> health_;
 };
 

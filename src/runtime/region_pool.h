@@ -6,8 +6,8 @@
 // allocator question answered once: RegionPool carves one region into
 // fixed-size slots, hands them out O(1) from a free list, and stages
 // payloads with a single region_write (the path's one copy). Slots are
-// returned either explicitly or by the BatchChannel integration when the
-// matching completion is delivered — by then the consumer's handler has
+// returned either explicitly or by CompletionQueue::submit_staged when the
+// matching event is formed — by then the consumer's handler has
 // read the bytes in place, so reuse is safe.
 //
 // Sharding (FIG13): a pool serving a component sharded across cores is
@@ -23,7 +23,7 @@
 // goes through the substrate's reference monitor, so after a revoke or a
 // supervised restart (epoch bump) staging fails with Errc::stale_epoch and
 // the owner re-wires through Assembly::region_between, exactly like a
-// BatchChannel holder re-attaches after a fence.
+// CompletionQueue holder re-attaches after a fence.
 #pragma once
 
 #include <cstdint>
@@ -94,9 +94,9 @@ class RegionPool {
   struct Shard {
     std::uint64_t base = 0;
     std::size_t slots = 0;
-    // Each shard's bookkeeping has its own lock; deferred Executor tasks
-    // run on worker threads, so lease bookkeeping cannot ride the substrate
-    // stripe lock (which only covers stage()).
+    // Each shard's bookkeeping has its own lock: producers on different
+    // cores lease concurrently, and the substrate stripe lock only covers
+    // stage().
     mutable std::mutex mu;
     std::vector<std::uint64_t> free;  // free slot offsets (LIFO for locality)
     std::vector<bool> leased;         // per-slot lease bit (double-free guard)

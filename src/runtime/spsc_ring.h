@@ -1,18 +1,16 @@
 // Single-producer single-consumer ring queue — the submission/completion
 // queue shape of io_uring, shrunk to this simulation's needs.
 //
-// The runtime lays a pair of these over a substrate shared-memory channel:
-// the client (producer) enqueues invocations into the submission ring
-// without crossing the isolation boundary, then crosses ONCE per batch
-// (BatchChannel::flush), and completions come back through the twin ring.
+// The runtime lays one over a substrate channel as its submission ring: the
+// client (producer) enqueues invocations without crossing the isolation
+// boundary, then crosses ONCE per batch (CompletionQueue::doorbell).
 // Head and tail are monotonically increasing 64-bit counters; the index is
 // `counter & mask`, so wraparound is free and full/empty are `tail-head`
 // comparisons, never an ambiguous head==tail.
 //
 // Progress is wait-free for both sides: the producer only writes `tail`,
-// the consumer only writes `head`. That makes the ring safe for the
-// executor's worker threads as well as the (single-threaded) batching
-// path.
+// the consumer only writes `head`, so one producer thread and one consumer
+// thread may share a ring.
 #pragma once
 
 #include <atomic>

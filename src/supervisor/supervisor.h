@@ -26,7 +26,7 @@
 // full challenge-response attestation before declaring it running again:
 // a component that comes back *different* is a failed restart, not a
 // recovered one. Restart hooks let higher layers re-establish state bound
-// to the dead incarnation (net::SecureChannel sessions, BatchChannel
+// to the dead incarnation (net::SecureChannel sessions, CompletionQueue
 // attachments).
 //
 // All policy (attempt budget, exponential backoff, escalation) comes from
@@ -145,7 +145,7 @@ class Supervisor {
   /// Called after every successful relaunch (attestation included) with the
   /// component's name and new incarnation number. Re-establish anything
   /// bound to the dead incarnation here: SecureChannel sessions (reset()
-  /// and re-handshake), BatchChannel attachments (re-mint endpoints).
+  /// and re-handshake), CompletionQueue attachments (re-mint endpoints).
   using RestartHook =
       std::function<void(const std::string& name, std::uint32_t incarnation)>;
   void on_restart(RestartHook hook) { hooks_.push_back(std::move(hook)); }

@@ -91,8 +91,6 @@ void render_metrics_text(std::ostream& out, const runtime::MetricsHub& hub) {
     render_family(out, label, "fleet", f.fields());
   for (const auto& [label, u] : hub.all_update())
     render_family(out, label, "update", u.fields());
-  for (const auto& [label, s] : hub.all_sched())
-    render_family(out, label, "sched", s.fields());
   for (const auto& [label, h] : hub.all_health())
     render_family(out, label, "health", h.fields());
 }

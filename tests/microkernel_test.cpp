@@ -360,7 +360,8 @@ TEST(Scheduler, CoreTimeIsMonotone) {
 
 TEST(Scheduler, ThreadSafeUnderConcurrentEpochs) {
   // TSan pin: demands, epochs and stat reads race from worker threads the
-  // way executor workers and a supervisor would drive one kernel instance.
+  // way per-core worker threads and a supervisor would drive one kernel
+  // instance.
   Scheduler sched(SchedulingPolicy::work_conserving, 4);
   for (DomainId d = 1; d <= 8; ++d)
     ASSERT_TRUE(sched.add_domain(d, 100).ok());

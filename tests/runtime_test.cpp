@@ -1,4 +1,5 @@
-// lateral::runtime — rings, batched channels, executor, async RPC.
+// lateral::runtime — rings, the zero-copy data plane, async RPC, and the
+// batched path's conformance across substrates.
 //
 // The load-bearing property throughout: lossless backpressure. Every
 // accepted submission terminates in exactly one of {completed, cancelled,
@@ -7,15 +8,13 @@
 // in-flight, with rejections tallied separately.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <future>
+#include <functional>
+#include <map>
 #include <thread>
 
-#include "net/remote.h"
 #include "net/secure_channel.h"
 #include "runtime/async_proxy.h"
-#include "runtime/batch_channel.h"
-#include "runtime/executor.h"
+#include "runtime/completion_queue.h"
 #include "runtime/spsc_ring.h"
 #include "test_support.h"
 
@@ -82,223 +81,6 @@ TEST(SpscRing, ThreadedProducerConsumer) {
   EXPECT_TRUE(ring.empty());
 }
 
-// ---------------------------------------------------------------------------
-// BatchChannel on a concrete substrate.
-
-class BatchChannelTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    machine_ = test::make_machine("batch");
-    substrate_ = *test::shared_registry().create("microkernel", *machine_);
-    client_ = *substrate_->create_domain(tc_spec("client"));
-    server_ = *substrate_->create_domain(tc_spec("server"));
-    channel_ = *substrate_->create_channel(client_, server_);
-    ASSERT_TRUE(substrate_
-                    ->set_handler(
-                        server_,
-                        [this](const substrate::Invocation& inv)
-                            -> Result<Bytes> {
-                          ++handler_runs_;
-                          const std::string request = to_string(inv.data);
-                          if (request == "refuse") return Errc::access_denied;
-                          return to_bytes("echo:" + request);
-                        })
-                    .ok());
-  }
-
-  std::unique_ptr<hw::Machine> machine_;
-  std::unique_ptr<substrate::IsolationSubstrate> substrate_;
-  substrate::DomainId client_ = 0, server_ = 0;
-  substrate::ChannelId channel_ = 0;
-  int handler_runs_ = 0;
-};
-
-TEST_F(BatchChannelTest, BatchRoundTripMatchesIds) {
-  BatchChannel batch(*substrate_, client_, channel_);
-  std::vector<SubmissionId> ids;
-  for (int i = 0; i < 8; ++i)
-    ids.push_back(*batch.submit(to_bytes("m" + std::to_string(i))));
-  ASSERT_TRUE(batch.flush().ok());
-  EXPECT_EQ(handler_runs_, 8);
-  // Retrieve out of submission order: ids, not positions, do the matching.
-  for (int i = 7; i >= 0; --i) {
-    auto reply = batch.wait(ids[static_cast<std::size_t>(i)]);
-    ASSERT_TRUE(reply.ok());
-    EXPECT_EQ(to_string(*reply), "echo:m" + std::to_string(i));
-  }
-}
-
-TEST_F(BatchChannelTest, PerRequestRefusalsStayPerRequest) {
-  BatchChannel batch(*substrate_, client_, channel_);
-  const SubmissionId good = *batch.submit(to_bytes("fine"));
-  const SubmissionId bad = *batch.submit(to_bytes("refuse"));
-  ASSERT_TRUE(batch.flush().ok());
-  EXPECT_EQ(to_string(*batch.wait(good)), "echo:fine");
-  EXPECT_EQ(batch.wait(bad).error(), Errc::access_denied);
-}
-
-TEST_F(BatchChannelTest, SubmissionRingBackpressure) {
-  BatchChannel batch(*substrate_, client_, channel_, {.depth = 4});
-  for (int i = 0; i < 4; ++i)
-    ASSERT_TRUE(batch.submit(to_bytes("x")).ok());
-  EXPECT_EQ(batch.submit(to_bytes("overflow")).error(), Errc::exhausted);
-  EXPECT_EQ(batch.metrics().rejected, 1u);
-  EXPECT_EQ(batch.metrics().submitted, 4u);
-  // Flushing drains the ring; submission is possible again.
-  ASSERT_TRUE(batch.flush().ok());
-  EXPECT_TRUE(batch.submit(to_bytes("again")).ok());
-}
-
-TEST_F(BatchChannelTest, CompletionRingGuardKeepsSubmissionsQueued) {
-  BatchChannel batch(*substrate_, client_, channel_, {.depth = 2});
-  const SubmissionId first = *batch.submit(to_bytes("a"));
-  ASSERT_TRUE(batch.flush().ok());
-  // Two unread completions would not fit next to two more: flush refuses
-  // and the queued submissions survive untouched.
-  ASSERT_TRUE(batch.submit(to_bytes("b")).ok());
-  ASSERT_TRUE(batch.submit(to_bytes("c")).ok());
-  EXPECT_EQ(batch.flush().error(), Errc::exhausted);
-  EXPECT_EQ(batch.pending(), 2u);
-  // Draining the completion ring unblocks the flush.
-  EXPECT_EQ(to_string(*batch.wait(first)), "echo:a");
-  EXPECT_TRUE(batch.flush().ok());
-  EXPECT_EQ(batch.pending(), 0u);
-}
-
-TEST_F(BatchChannelTest, CancellationCompletesWithoutRunning) {
-  BatchChannel batch(*substrate_, client_, channel_);
-  const SubmissionId keep = *batch.submit(to_bytes("keep"));
-  const SubmissionId drop = *batch.submit(to_bytes("drop"));
-  ASSERT_TRUE(batch.cancel(drop).ok());
-  EXPECT_EQ(batch.cancel(999).error(), Errc::invalid_argument);
-  ASSERT_TRUE(batch.flush().ok());
-  EXPECT_EQ(handler_runs_, 1);  // only "keep" crossed the boundary
-  EXPECT_EQ(batch.wait(drop).error(), Errc::cancelled);
-  EXPECT_EQ(to_string(*batch.wait(keep)), "echo:keep");
-  EXPECT_EQ(batch.metrics().cancelled, 1u);
-}
-
-TEST_F(BatchChannelTest, ExpiredDeadlineCompletesTimedOut) {
-  BatchChannel batch(*substrate_, client_, channel_);
-  // Domain/channel creation already advanced the simulated clock, so an
-  // absolute deadline of 1 cycle is long gone.
-  ASSERT_GT(substrate_->machine().now(), 1u);
-  const SubmissionId late = *batch.submit(to_bytes("late"), {.deadline = 1});
-  const SubmissionId fresh = *batch.submit(
-      to_bytes("fresh"), {.deadline = substrate_->machine().now() + 100000});
-  ASSERT_TRUE(batch.flush().ok());
-  EXPECT_EQ(handler_runs_, 1);
-  EXPECT_EQ(batch.wait(late).error(), Errc::timed_out);
-  EXPECT_EQ(to_string(*batch.wait(fresh)), "echo:fresh");
-  EXPECT_EQ(batch.metrics().timed_out, 1u);
-}
-
-TEST_F(BatchChannelTest, BatchLevelRefusalDeliveredToEveryEntry) {
-  // A channel the actor does not hold: the whole batch is refused, and the
-  // refusal is delivered as every entry's completion — not silently lost.
-  BatchChannel batch(*substrate_, server_ + 17, channel_);
-  const SubmissionId a = *batch.submit(to_bytes("a"));
-  const SubmissionId b = *batch.submit(to_bytes("b"));
-  ASSERT_TRUE(batch.flush().ok());
-  EXPECT_EQ(batch.wait(a).error(), Errc::access_denied);
-  EXPECT_EQ(batch.wait(b).error(), Errc::access_denied);
-  EXPECT_EQ(batch.metrics().in_flight(), 0u);
-}
-
-TEST_F(BatchChannelTest, DeadPeerRefusalDeliveredToEveryEntry) {
-  BatchChannel batch(*substrate_, client_, channel_);
-  const SubmissionId a = *batch.submit(to_bytes("a"));
-  const SubmissionId b = *batch.submit(to_bytes("b"));
-  // The server crashes with work in flight: every queued invocation still
-  // completes — promptly, with the honest error — and nothing is lost.
-  ASSERT_TRUE(substrate_->kill_domain(server_).ok());
-  ASSERT_TRUE(batch.flush().ok());
-  EXPECT_EQ(handler_runs_, 0);
-  EXPECT_EQ(batch.wait(a).error(), Errc::domain_dead);
-  EXPECT_EQ(batch.wait(b).error(), Errc::domain_dead);
-  EXPECT_EQ(batch.metrics().in_flight(), 0u);
-  EXPECT_EQ(batch.metrics().completed, 2u);
-}
-
-TEST_F(BatchChannelTest, EpochFenceDeliversStaleEpoch) {
-  BatchChannel batch(*substrate_, client_, channel_);
-  const SubmissionId a = *batch.submit(to_bytes("a"));
-  const SubmissionId b = *batch.submit(to_bytes("b"));
-  // A supervised restart re-epochs the channel under the adapter.
-  ASSERT_TRUE(substrate_->bump_channel_epoch(channel_).ok());
-  ASSERT_TRUE(batch.flush().ok());
-  EXPECT_EQ(handler_runs_, 0);  // nothing addressed to the old life runs
-  EXPECT_EQ(batch.wait(a).error(), Errc::stale_epoch);
-  EXPECT_EQ(batch.wait(b).error(), Errc::stale_epoch);
-  EXPECT_EQ(batch.metrics().in_flight(), 0u);
-  // Re-attaching captures the new epoch; the channel serves again.
-  BatchChannel fresh(*substrate_, client_, channel_);
-  const SubmissionId c = *fresh.submit(to_bytes("c"));
-  ASSERT_TRUE(fresh.flush().ok());
-  EXPECT_EQ(to_string(*fresh.wait(c)), "echo:c");
-}
-
-TEST_F(BatchChannelTest, LosslessAccountingInvariant) {
-  BatchChannel batch(*substrate_, client_, channel_, {.depth = 8});
-  std::vector<SubmissionId> ids;
-  for (int i = 0; i < 8; ++i)
-    ids.push_back(*batch.submit(to_bytes("m" + std::to_string(i))));
-  ASSERT_TRUE(batch.cancel(ids[1]).ok());
-  ASSERT_TRUE(batch.cancel(ids[4]).ok());
-  // Rejected submissions are tallied but never enter the pipeline.
-  for (int i = 0; i < 4; ++i)
-    EXPECT_EQ(batch.submit(to_bytes("no")).error(), Errc::exhausted);
-  ASSERT_TRUE(batch.flush().ok());
-  while (batch.next_completion().ok()) {
-  }
-  const InvocationCounters& m = batch.metrics();
-  EXPECT_EQ(m.submitted, 8u);
-  EXPECT_EQ(m.rejected, 4u);
-  EXPECT_EQ(m.completed, 6u);
-  EXPECT_EQ(m.cancelled, 2u);
-  EXPECT_EQ(m.timed_out, 0u);
-  EXPECT_EQ(m.submitted, m.completed + m.cancelled + m.timed_out);
-  EXPECT_EQ(m.in_flight(), 0u);
-  EXPECT_EQ(m.queue_depth_hwm, 8u);
-}
-
-TEST_F(BatchChannelTest, AmortizationBeatsPerCallCosts) {
-  const Cycles before_sync = substrate_->machine().now();
-  for (int i = 0; i < 16; ++i)
-    ASSERT_TRUE(substrate_->call(client_, channel_, to_bytes("one")).ok());
-  const Cycles sync_cost = substrate_->machine().now() - before_sync;
-
-  BatchChannel batch(*substrate_, client_, channel_);
-  for (int i = 0; i < 16; ++i)
-    ASSERT_TRUE(batch.submit(to_bytes("one")).ok());
-  const Cycles before_batch = substrate_->machine().now();
-  ASSERT_TRUE(batch.flush().ok());
-  const Cycles batch_cost = substrate_->machine().now() - before_batch;
-
-  EXPECT_LT(batch_cost, sync_cost);
-  const InvocationCounters& m = batch.metrics();
-  EXPECT_EQ(m.crossing_cycles, batch_cost);
-  EXPECT_EQ(m.sync_equivalent_cycles, sync_cost);
-  EXPECT_EQ(m.cycles_saved(), sync_cost - batch_cost);
-  EXPECT_EQ(m.batches, 1u);
-  EXPECT_EQ(m.batch_size_histogram[4], 1u);  // 16 lands in bucket 2^4
-}
-
-TEST_F(BatchChannelTest, LatencyAccountedPerInvocationWithoutTracing) {
-  // Latency is part of the base metrics contract — no tracer attached.
-  BatchChannel batch(*substrate_, client_, channel_);
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(batch.submit(to_bytes("m")).ok());
-  ASSERT_TRUE(batch.flush().ok());
-  const InvocationCounters& m = batch.metrics();
-  EXPECT_EQ(m.latency_count, 4u);
-  EXPECT_GT(m.latency_total_cycles, 0u);
-  EXPECT_GT(m.mean_latency_cycles(), 0u);
-  // Percentile estimates are bucket upper bounds: monotone in p, and p99
-  // bounds the worst submit->complete span from above.
-  EXPECT_LE(m.latency_percentile(0.5), m.latency_percentile(0.99));
-  EXPECT_GE(m.latency_percentile(0.99), m.latency_total_cycles / 4);
-}
-
 TEST(InvocationCountersTest, LatencyHistogramAndPercentiles) {
   InvocationCounters c;
   // Buckets: [2^i, 2^(i+1)). 1 -> bucket 0, 3 -> bucket 1, 1000 -> bucket 9.
@@ -361,10 +143,7 @@ TEST(MetricsHubTest, ConcurrentLabelRegistrationIsSafe) {
 }
 
 // ---------------------------------------------------------------------------
-// Executor
-
-// ---------------------------------------------------------------------------
-// Zero-copy data plane: RegionPool + scatter-gather BatchChannel
+// Zero-copy data plane: RegionPool + scatter-gather CompletionQueue
 
 class ZeroCopyBatchTest : public ::testing::Test {
  protected:
@@ -402,6 +181,17 @@ class ZeroCopyBatchTest : public ::testing::Test {
   substrate::ChannelId channel_ = 0;
   substrate::RegionId region_ = 0;
   int handler_runs_ = 0;
+
+  /// Ring the doorbell and return id's event (every other event dropped).
+  static CqEvent ring_for(CompletionQueue& cq, SubmissionId id) {
+    CqEvent out;
+    out.status = Errc::invalid_argument;
+    auto events = cq.reap();
+    if (events)
+      for (CqEvent& event : *events)
+        if (event.id == id) out = std::move(event);
+    return out;
+  }
 };
 
 TEST_F(ZeroCopyBatchTest, RegionPoolLeaseStageRelease) {
@@ -432,92 +222,93 @@ TEST_F(ZeroCopyBatchTest, RegionPoolLeaseStageRelease) {
 }
 
 TEST_F(ZeroCopyBatchTest, SubmitSgDeliversInPlacePayload) {
-  BatchChannel batch(*substrate_, client_, channel_);
+  CompletionQueue cq(*substrate_, client_, channel_);
   // A bulk payload — the path's target case. (Below ~16 bytes the
   // descriptor wire bytes would cost more than the payload they replace.)
   const Bytes bulk(2048, 0xB7);
   ASSERT_TRUE(substrate_->region_write(client_, region_, 0, bulk).ok());
   auto desc = substrate_->make_descriptor(client_, region_, 0, bulk.size());
   ASSERT_TRUE(desc.ok());
-  const SubmissionId id = *batch.submit_sg(to_bytes("hdr|"), {*desc});
-  EXPECT_EQ(batch.submit_sg(to_bytes("x"), {}).error(),
+  const SubmissionId id = *cq.submit_sg(to_bytes("hdr|"), {*desc});
+  EXPECT_EQ(cq.submit_sg(to_bytes("x"), {}).error(),
             Errc::invalid_argument);  // SG without segments is a misuse
-  ASSERT_TRUE(batch.flush().ok());
   Bytes expected = to_bytes("got:hdr|");
   expected.insert(expected.end(), bulk.begin(), bulk.end());
-  EXPECT_EQ(*batch.wait(id), expected);
-  EXPECT_EQ(batch.metrics().zero_copy_bytes, bulk.size());
+  EXPECT_EQ(ring_for(cq, id).payload, expected);
+  EXPECT_EQ(cq.metrics().zero_copy_bytes, bulk.size());
   // The descriptor crossed, not the payload: the batched crossing is
   // cheaper than the payload-copying sync equivalent it replaced.
-  EXPECT_LT(batch.metrics().crossing_cycles,
-            batch.metrics().sync_equivalent_cycles);
+  EXPECT_LT(cq.metrics().crossing_cycles, cq.metrics().sync_equivalent_cycles);
 }
 
 TEST_F(ZeroCopyBatchTest, SubmitStagedReturnsSlotAtCompletion) {
   RegionPool pool(*substrate_, client_, region_, 4096, 1024);
-  BatchChannel batch(*substrate_, client_, channel_);
+  CompletionQueue cq(*substrate_, client_, channel_);
   const SubmissionId id =
-      *batch.submit_staged(pool, to_bytes("h:"), to_bytes("staged"));
+      *cq.submit_staged(pool, to_bytes("h:"), to_bytes("staged"));
   EXPECT_EQ(pool.slots_free(), 3u);  // slot leased while in flight
-  ASSERT_TRUE(batch.flush().ok());
+  ASSERT_TRUE(cq.doorbell().ok());
   // By completion time the handler has consumed the bytes in place, so the
   // slot is already back in the pool.
   EXPECT_EQ(pool.slots_free(), 4u);
-  EXPECT_EQ(to_string(*batch.wait(id)), "got:h:staged");
+  EXPECT_EQ(to_string(ring_for(cq, id).payload), "got:h:staged");
 
   // The pool sustains repeated bursts without leaking slots.
   for (int round = 0; round < 3; ++round) {
-    std::vector<SubmissionId> ids;
     for (int i = 0; i < 4; ++i)
-      ids.push_back(
-          *batch.submit_staged(pool, to_bytes("r:"), to_bytes("p")));
+      ASSERT_TRUE(cq.submit_staged(pool, to_bytes("r:"), to_bytes("p")).ok());
     EXPECT_EQ(pool.slots_free(), 0u);
-    EXPECT_EQ(batch.submit_staged(pool, to_bytes("r:"), to_bytes("p")).error(),
+    EXPECT_EQ(cq.submit_staged(pool, to_bytes("r:"), to_bytes("p")).error(),
               Errc::exhausted);  // pool empty = backpressure, fail closed
-    ASSERT_TRUE(batch.flush().ok());
+    auto events = cq.reap();
+    ASSERT_TRUE(events.ok());
     EXPECT_EQ(pool.slots_free(), 4u);
-    for (const SubmissionId i : ids) EXPECT_TRUE(batch.wait(i).ok());
+    ASSERT_EQ(events->size(), 4u);
+    for (const CqEvent& event : *events) EXPECT_TRUE(event.ok());
   }
 }
 
 TEST_F(ZeroCopyBatchTest, MixedBatchCompletesInlineAndSgEntries) {
   RegionPool pool(*substrate_, client_, region_, 4096, 1024);
-  BatchChannel batch(*substrate_, client_, channel_);
-  const SubmissionId inline_id = *batch.submit(to_bytes("plain"));
+  CompletionQueue cq(*substrate_, client_, channel_);
+  const SubmissionId inline_id = *cq.submit(to_bytes("plain"));
   const SubmissionId sg_id =
-      *batch.submit_staged(pool, to_bytes("sg:"), to_bytes("body"));
-  ASSERT_TRUE(batch.flush().ok());
+      *cq.submit_staged(pool, to_bytes("sg:"), to_bytes("body"));
+  auto events = cq.reap();
+  ASSERT_TRUE(events.ok());
   EXPECT_EQ(handler_runs_, 2);  // one crossing, both delivered
-  EXPECT_EQ(batch.metrics().batches, 1u);
-  EXPECT_EQ(to_string(*batch.wait(inline_id)), "got:plain");
-  EXPECT_EQ(to_string(*batch.wait(sg_id)), "got:sg:body");
+  EXPECT_EQ(cq.metrics().batches, 1u);
+  ASSERT_EQ(events->size(), 2u);
+  EXPECT_EQ((*events)[0].id, inline_id);
+  EXPECT_EQ(to_string((*events)[0].payload), "got:plain");
+  EXPECT_EQ((*events)[1].id, sg_id);
+  EXPECT_EQ(to_string((*events)[1].payload), "got:sg:body");
 }
 
 TEST_F(ZeroCopyBatchTest, EpochFenceReleasesStagedSlots) {
   RegionPool pool(*substrate_, client_, region_, 4096, 1024);
-  BatchChannel batch(*substrate_, client_, channel_);
-  const SubmissionId a =
-      *batch.submit_staged(pool, to_bytes("h"), to_bytes("x"));
-  const SubmissionId b =
-      *batch.submit_staged(pool, to_bytes("h"), to_bytes("y"));
+  CompletionQueue cq(*substrate_, client_, channel_);
+  ASSERT_TRUE(cq.submit_staged(pool, to_bytes("h"), to_bytes("x")).ok());
+  ASSERT_TRUE(cq.submit_staged(pool, to_bytes("h"), to_bytes("y")).ok());
   EXPECT_EQ(pool.slots_free(), 2u);
   ASSERT_TRUE(substrate_->bump_channel_epoch(channel_).ok());
-  ASSERT_TRUE(batch.flush().ok());
-  EXPECT_EQ(batch.wait(a).error(), Errc::stale_epoch);
-  EXPECT_EQ(batch.wait(b).error(), Errc::stale_epoch);
+  auto events = cq.reap();
+  ASSERT_TRUE(events.ok());
+  ASSERT_EQ(events->size(), 2u);
+  for (const CqEvent& event : *events)
+    EXPECT_EQ(event.status, Errc::stale_epoch);
   EXPECT_EQ(pool.slots_free(), 4u);  // fenced completions still free slots
-  EXPECT_EQ(batch.metrics().in_flight(), 0u);
+  EXPECT_EQ(cq.metrics().in_flight(), 0u);
 }
 
 TEST_F(ZeroCopyBatchTest, CancelledStagedSubmissionFreesItsSlot) {
   RegionPool pool(*substrate_, client_, region_, 4096, 1024);
-  BatchChannel batch(*substrate_, client_, channel_);
+  CompletionQueue cq(*substrate_, client_, channel_);
   const SubmissionId drop =
-      *batch.submit_staged(pool, to_bytes("h"), to_bytes("x"));
-  ASSERT_TRUE(batch.cancel(drop).ok());
-  ASSERT_TRUE(batch.flush().ok());
+      *cq.submit_staged(pool, to_bytes("h"), to_bytes("x"));
+  ASSERT_TRUE(cq.cancel(drop).ok());
+  EXPECT_EQ(ring_for(cq, drop).status, Errc::cancelled);
   EXPECT_EQ(handler_runs_, 0);
-  EXPECT_EQ(batch.wait(drop).error(), Errc::cancelled);
   EXPECT_EQ(pool.slots_free(), 4u);
 }
 
@@ -527,41 +318,6 @@ TEST_F(ZeroCopyBatchTest, RevokedRegionFailsStagingClosed) {
   auto slot = pool.acquire();
   ASSERT_TRUE(slot.ok());  // the free list is local; the substrate decides
   EXPECT_EQ(pool.stage(*slot, to_bytes("x")).error(), Errc::stale_epoch);
-}
-
-TEST_F(ZeroCopyBatchTest, ExecutorSubmitCallSgDeliversThroughFuture) {
-  const std::uint64_t epoch = *substrate_->channel_epoch(channel_);
-  const core::Endpoint endpoint(substrate_.get(), channel_, client_, epoch);
-  auto pool =
-      std::make_shared<RegionPool>(*substrate_, client_, region_, 4096, 1024);
-  Executor executor({.threads = 2});
-  auto future = executor.submit_call_sg(endpoint, pool, to_bytes("exec:"),
-                                        to_bytes("task-payload"));
-  ASSERT_TRUE(future.ok());
-  auto reply = future->wait();
-  ASSERT_TRUE(reply.ok());
-  EXPECT_EQ(to_string(*reply), "got:exec:task-payload");
-  executor.wait_all();
-  EXPECT_EQ(pool->slots_free(), 4u);  // slot returned after the call
-}
-
-TEST_F(ZeroCopyBatchTest, ExecutorSubmitCallSgSurvivesCallerDroppingPool) {
-  const std::uint64_t epoch = *substrate_->channel_epoch(channel_);
-  const core::Endpoint endpoint(substrate_.get(), channel_, client_, epoch);
-  Executor executor({.threads = 2});
-  Future future;
-  {
-    auto pool = std::make_shared<RegionPool>(*substrate_, client_, region_,
-                                             4096, 1024);
-    auto submitted = executor.submit_call_sg(endpoint, pool, to_bytes("exec:"),
-                                             to_bytes("late"));
-    ASSERT_TRUE(submitted.ok());
-    future = std::move(*submitted);
-  }  // caller's reference gone; the queued task co-owns the pool
-  auto reply = future.wait();
-  ASSERT_TRUE(reply.ok());
-  EXPECT_EQ(to_string(*reply), "got:exec:late");
-  executor.wait_all();
 }
 
 TEST_F(ZeroCopyBatchTest, RegionPoolIgnoresDoubleRelease) {
@@ -687,329 +443,6 @@ TEST(RegionPoolSharded, SingleCoreMachineKeepsDenseLayout) {
   EXPECT_EQ(desc->length, std::string("sharded-payload").size());
 }
 
-TEST(Executor, RunsTasksAndDeliversResults) {
-  Executor executor({.threads = 4});
-  std::vector<Future> futures;
-  for (int i = 0; i < 32; ++i) {
-    auto future = executor.submit(
-        DomainKey{nullptr, static_cast<substrate::DomainId>(i % 4)},
-        [i]() -> Result<Bytes> { return to_bytes(std::to_string(i)); });
-    ASSERT_TRUE(future.ok());
-    futures.push_back(std::move(*future));
-  }
-  executor.wait_all();
-  for (int i = 0; i < 32; ++i) {
-    ASSERT_TRUE(futures[static_cast<std::size_t>(i)].poll());
-    auto result = futures[static_cast<std::size_t>(i)].wait();
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(to_string(*result), std::to_string(i));
-  }
-  const ExecutorStats stats = executor.stats();
-  EXPECT_EQ(stats.counters.submitted, 32u);
-  EXPECT_EQ(stats.counters.completed, 32u);
-  EXPECT_EQ(stats.counters.in_flight(), 0u);
-}
-
-TEST(Executor, PerDomainOrderIsSubmissionOrder) {
-  Executor executor({.threads = 4});
-  const DomainKey key{nullptr, 7};
-  std::mutex mu;
-  std::vector<int> order;
-  for (int i = 0; i < 64; ++i) {
-    ASSERT_TRUE(executor
-                    .submit(key,
-                            [&, i]() -> Result<Bytes> {
-                              std::lock_guard<std::mutex> guard(mu);
-                              order.push_back(i);
-                              return Bytes{};
-                            })
-                    .ok());
-  }
-  executor.wait_all();
-  ASSERT_EQ(order.size(), 64u);
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-}
-
-TEST(Executor, TasksErrorsComeBackThroughFutures) {
-  Executor executor({.threads = 1});
-  auto future = executor.submit(
-      DomainKey{}, []() -> Result<Bytes> { return Errc::io_error; });
-  ASSERT_TRUE(future.ok());
-  EXPECT_EQ(future->wait().error(), Errc::io_error);
-}
-
-TEST(Executor, DeadDomainWorkCompletesWithDomainDead) {
-  auto machine = test::make_machine("executor-dead");
-  auto substrate = *test::shared_registry().create("microkernel", *machine);
-  const auto domain = *substrate->create_domain(tc_spec("worker"));
-  ASSERT_TRUE(substrate->kill_domain(domain).ok());
-
-  Executor executor({.threads = 2});
-  bool ran = false;
-  auto future = executor.submit(DomainKey{substrate.get(), domain},
-                                [&]() -> Result<Bytes> {
-                                  ran = true;
-                                  return to_bytes("impossible");
-                                });
-  ASSERT_TRUE(future.ok());
-  // Work addressed to a corpse completes promptly with the honest error —
-  // the task never runs, and the accounting stays lossless.
-  EXPECT_EQ(future->wait().error(), Errc::domain_dead);
-  EXPECT_FALSE(ran);
-  executor.wait_all();
-  const ExecutorStats stats = executor.stats();
-  EXPECT_EQ(stats.counters.submitted, 1u);
-  EXPECT_EQ(stats.counters.completed, 1u);
-  EXPECT_EQ(stats.counters.in_flight(), 0u);
-}
-
-TEST(Executor, CancelBeforeRunWins) {
-  Executor executor({.threads = 1});
-  std::promise<void> gate;
-  std::shared_future<void> opened = gate.get_future().share();
-  // Occupy the single worker so the second task stays queued.
-  auto blocker = executor.submit(DomainKey{nullptr, 1},
-                                 [opened]() -> Result<Bytes> {
-                                   opened.wait();
-                                   return Bytes{};
-                                 });
-  ASSERT_TRUE(blocker.ok());
-  bool ran = false;
-  auto victim = executor.submit(DomainKey{nullptr, 2},
-                                [&ran]() -> Result<Bytes> {
-                                  ran = true;
-                                  return Bytes{};
-                                });
-  ASSERT_TRUE(victim.ok());
-  ASSERT_TRUE(victim->cancel().ok());
-  gate.set_value();
-  executor.wait_all();
-  EXPECT_EQ(victim->wait().error(), Errc::cancelled);
-  EXPECT_FALSE(ran);
-  EXPECT_EQ(executor.stats().counters.cancelled, 1u);
-}
-
-TEST(Executor, QueueDepthBackpressure) {
-  Executor executor({.threads = 1, .queue_depth = 2});
-  std::promise<void> gate;
-  std::shared_future<void> opened = gate.get_future().share();
-  const DomainKey busy{nullptr, 1};
-  ASSERT_TRUE(executor
-                  .submit(busy,
-                          [opened]() -> Result<Bytes> {
-                            opened.wait();
-                            return Bytes{};
-                          })
-                  .ok());
-  // The worker may or may not have dequeued the blocker yet; fill whatever
-  // is left of the domain's budget, then expect a refusal.
-  int accepted = 1;
-  for (;;) {
-    auto r = executor.submit(busy, []() -> Result<Bytes> { return Bytes{}; });
-    if (!r.ok()) {
-      EXPECT_EQ(r.error(), Errc::exhausted);
-      break;
-    }
-    ++accepted;
-    ASSERT_LE(accepted, 3);  // blocker (running) + depth 2 queued
-  }
-  // An unrelated domain is NOT affected: the bound is per-domain.
-  EXPECT_TRUE(executor
-                  .submit(DomainKey{nullptr, 2},
-                          []() -> Result<Bytes> { return Bytes{}; })
-                  .ok());
-  gate.set_value();
-  executor.wait_all();
-  EXPECT_GE(executor.stats().counters.rejected, 1u);
-}
-
-TEST(Executor, ExpiredDeadlineSkipsTask) {
-  auto machine = test::make_machine("executor-deadline");
-  auto substrate = *test::shared_registry().create("microkernel", *machine);
-  auto domain = *substrate->create_domain(tc_spec("component"));
-  ASSERT_GT(substrate->machine().now(), 1u);
-
-  Executor executor({.threads = 2});
-  bool ran = false;
-  auto late = executor.submit(DomainKey{substrate.get(), domain},
-                              [&ran]() -> Result<Bytes> {
-                                ran = true;
-                                return Bytes{};
-                              },
-                              {.deadline = 1});
-  auto fresh = executor.submit(
-      DomainKey{substrate.get(), domain},
-      []() -> Result<Bytes> { return to_bytes("ok"); },
-      {.deadline = substrate->machine().now() + 1000000});
-  ASSERT_TRUE(late.ok());
-  ASSERT_TRUE(fresh.ok());
-  executor.wait_all();
-  EXPECT_EQ(late->wait().error(), Errc::timed_out);
-  EXPECT_FALSE(ran);
-  EXPECT_EQ(to_string(*fresh->wait()), "ok");
-  EXPECT_EQ(executor.stats().counters.timed_out, 1u);
-}
-
-TEST(Executor, ShutdownCancelsQueuedTasksLosslessly) {
-  std::vector<Future> futures;
-  std::promise<void> gate;
-  std::shared_future<void> opened = gate.get_future().share();
-  std::thread releaser;
-  {
-    Executor executor({.threads = 1});
-    ASSERT_TRUE(executor
-                    .submit(DomainKey{nullptr, 1},
-                            [opened]() -> Result<Bytes> {
-                              opened.wait();
-                              return Bytes{};
-                            })
-                    .ok());
-    for (int i = 0; i < 3; ++i) {
-      auto f = executor.submit(DomainKey{nullptr, 2},
-                               []() -> Result<Bytes> { return Bytes{}; });
-      ASSERT_TRUE(f.ok());
-      futures.push_back(std::move(*f));
-    }
-    releaser = std::thread([&gate] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      gate.set_value();
-    });
-    // Destructor runs here with the worker still blocked: the three queued
-    // tasks must terminate as cancelled, never hang or vanish.
-  }
-  releaser.join();
-  for (Future& future : futures)
-    EXPECT_EQ(future.wait().error(), Errc::cancelled);
-}
-
-TEST(Executor, ParallelismAcrossSubstratesWithSerializedMachines) {
-  // Two independent machines may run truly in parallel; all clock movement
-  // for one machine is serialized by the executor's substrate stripes.
-  auto machine_a = test::make_machine("exec-a");
-  auto machine_b = test::make_machine("exec-b");
-  auto sub_a = *test::shared_registry().create("microkernel", *machine_a);
-  auto sub_b = *test::shared_registry().create("microkernel", *machine_b);
-  struct Wire {
-    substrate::DomainId client, server;
-    substrate::ChannelId channel;
-  };
-  auto wire_up = [](substrate::IsolationSubstrate& sub) -> Wire {
-    Wire wire{};
-    wire.client = *sub.create_domain(tc_spec("client"));
-    wire.server = *sub.create_domain(tc_spec("server"));
-    wire.channel = *sub.create_channel(wire.client, wire.server);
-    (void)sub.set_handler(wire.server,
-                          [](const substrate::Invocation& inv) -> Result<Bytes> {
-                            return Bytes(inv.data.begin(), inv.data.end());
-                          });
-    return wire;
-  };
-  const Wire wire_a = wire_up(*sub_a);
-  const Wire wire_b = wire_up(*sub_b);
-  const Cycles start_a = sub_a->machine().now();
-  const Cycles start_b = sub_b->machine().now();
-
-  Executor executor({.threads = 4});
-  std::vector<Future> futures;
-  for (int i = 0; i < 50; ++i) {
-    substrate::IsolationSubstrate& sub = (i % 2 == 0) ? *sub_a : *sub_b;
-    const Wire& wire = (i % 2 == 0) ? wire_a : wire_b;
-    auto f = executor.submit(
-        DomainKey{&sub, wire.client},
-        [&sub, wire]() -> Result<Bytes> {
-          return sub.call(wire.client, wire.channel, to_bytes("tick"));
-        });
-    ASSERT_TRUE(f.ok());
-    futures.push_back(std::move(*f));
-  }
-  executor.wait_all();
-  for (Future& future : futures) ASSERT_TRUE(future.wait().ok());
-  // 25 calls each; the per-substrate serialization means the simulated
-  // clocks advanced by exactly 25 round trips — no torn updates.
-  const Cycles per_call =
-      sub_a->message_cost(4) + sub_a->message_cost(4);
-  EXPECT_EQ(sub_a->machine().now() - start_a, 25 * per_call);
-  EXPECT_EQ(sub_b->machine().now() - start_b, 25 * per_call);
-}
-
-TEST(Executor, CoreRoutingHashFallbackAndAffinity) {
-  auto machine = test::make_smp_machine(4, "exec-smp");
-  auto sub = *test::shared_registry().create("microkernel", *machine);
-  const auto worker = *sub->create_domain(tc_spec("worker"));
-  const auto helper = *sub->create_domain(tc_spec("helper"));
-  Executor executor({.threads = 2});
-
-  // Without an explicit pin a domain's home core is its key hash modulo the
-  // machine's core count — stable across queries, and always on-machine.
-  const DomainKey kw{sub.get(), worker};
-  const std::size_t home = executor.core_of(kw);
-  EXPECT_LT(home, 4u);
-  EXPECT_EQ(executor.core_of(kw), home);
-  // Keys without simulated hardware have no cores to route across.
-  EXPECT_EQ(executor.core_of(DomainKey{}), 0u);
-
-  // set_affinity overrides the hash; off-machine cores are refused and the
-  // previous pin survives the refusal.
-  ASSERT_TRUE(executor.set_affinity(kw, 3).ok());
-  EXPECT_EQ(executor.core_of(kw), 3u);
-  EXPECT_EQ(executor.set_affinity(kw, 4).error(), Errc::invalid_argument);
-  EXPECT_EQ(executor.core_of(kw), 3u);
-
-  // The pin is real accounting, not a label: a task submitted on a pinned
-  // key runs under a CoreLease, so its cycles land on that core's clock.
-  const DomainKey kh{sub.get(), helper};
-  ASSERT_TRUE(executor.set_affinity(kh, 2).ok());
-  const Cycles before1 = machine->core(1);
-  const Cycles before2 = machine->core(2);
-  auto future = executor.submit(kh, [&]() -> Result<Bytes> {
-    sub->machine().advance(700);
-    return Bytes{};
-  });
-  ASSERT_TRUE(future.ok());
-  ASSERT_TRUE(future->wait().ok());
-  executor.wait_all();
-  EXPECT_EQ(machine->core(2) - before2, 700u);
-  EXPECT_EQ(machine->core(1), before1);
-}
-
-TEST(Executor, PublishesSchedStatsThroughMetricsHub) {
-  // The FIG13 observability satellite: an executor configured with a hub
-  // publishes SchedStats under its label — steals/migrations counters plus
-  // a per-core run-queue depth gauge sized to the widest machine it serves.
-  MetricsHub hub;
-  auto machine = test::make_smp_machine(4, "exec-hub");
-  auto sub = *test::shared_registry().create("microkernel", *machine);
-  const auto domain = *sub->create_domain(tc_spec("d"));
-  Executor executor({.threads = 3, .hub = &hub, .label = "fig13.exec"});
-
-  const DomainKey key{sub.get(), domain};
-  ASSERT_TRUE(executor.set_affinity(key, 1).ok());
-  for (int i = 0; i < 24; ++i) {
-    // Spread across several domains (some hardware-free) so queues migrate
-    // between workers; all of it must fold into one labelled block.
-    const DomainKey k = (i % 3 == 0)
-                            ? key
-                            : DomainKey{nullptr,
-                                        static_cast<substrate::DomainId>(
-                                            100 + i % 5)};
-    ASSERT_TRUE(
-        executor.submit(k, []() -> Result<Bytes> { return Bytes{}; }).ok());
-  }
-  executor.wait_all();
-
-  const SchedStats sched = hub.sched("fig13.exec").snapshot();
-  ASSERT_EQ(sched.run_queue_depth.size(), 4u);  // sized to the machine
-  for (const std::uint64_t depth : sched.run_queue_depth)
-    EXPECT_EQ(depth, 0u);  // drained: the gauge reads empty queues
-  const ExecutorStats stats = executor.stats();
-  EXPECT_EQ(sched.steals, stats.steals);
-  EXPECT_EQ(sched.migrations, stats.migrations);
-  // A microkernel machine with one busy domain neither stalls at a serial
-  // gate nor bounces cache lines; the published signals agree.
-  EXPECT_EQ(sched.serial_stalls, sub->serial_stalls());
-  EXPECT_EQ(sched.contention_events, machine->contention_events());
-}
-
 // ---------------------------------------------------------------------------
 // AsyncRemoteProxy / AsyncRemoteDispatcher
 
@@ -1057,6 +490,31 @@ class AsyncRemoteTest : public ::testing::Test {
         config);
   }
 
+  /// A proxy whose transport hands the burst to the dispatcher and then
+  /// lets `mangle` tamper with the reply records.
+  AsyncRemoteProxy mangled_proxy(
+      std::function<void(std::vector<Bytes>&)> mangle) {
+    return AsyncRemoteProxy(
+        *client_,
+        [this, mangle](const std::vector<Bytes>& records)
+            -> Result<std::vector<Bytes>> {
+          ++bursts_;
+          auto replies = dispatcher_->handle_burst(records);
+          if (replies) mangle(*replies);
+          return replies;
+        });
+  }
+
+  /// Drain every completed event into an id -> event map.
+  static std::map<RequestId, CqEvent> by_id(AsyncRemoteProxy& proxy) {
+    std::map<RequestId, CqEvent> out;
+    for (CqEvent& event : proxy.reap()) {
+      const RequestId id = static_cast<RequestId>(event.id);
+      out[id] = std::move(event);
+    }
+    return out;
+  }
+
   std::unique_ptr<net::SecureChannelEndpoint> client_;
   std::unique_ptr<net::SecureChannelEndpoint> server_;
   std::unique_ptr<AsyncRemoteDispatcher> dispatcher_;
@@ -1072,10 +530,12 @@ TEST_F(AsyncRemoteTest, PipelinedBurstMatchesRepliesById) {
   ASSERT_TRUE(proxy.flush().ok());
   EXPECT_EQ(bursts_, 1);  // five invocations, one transport exchange
   EXPECT_EQ(server_calls_, 5);
+  auto events = by_id(proxy);
+  ASSERT_EQ(events.size(), 5u);
   for (int i = 4; i >= 0; --i) {
-    auto reply = proxy.take(ids[static_cast<std::size_t>(i)]);
-    ASSERT_TRUE(reply.ok());
-    EXPECT_EQ(to_string(*reply), "r" + std::to_string(i));
+    const CqEvent& event = events.at(ids[static_cast<std::size_t>(i)]);
+    ASSERT_TRUE(event.ok());
+    EXPECT_EQ(to_string(event.payload), "r" + std::to_string(i));
   }
 }
 
@@ -1085,9 +545,10 @@ TEST_F(AsyncRemoteTest, RemoteErrorsStayPerRequest) {
   const RequestId bad = *proxy.submit("refuse", to_bytes("x"));
   const RequestId missing = *proxy.submit("no-such-method", {});
   ASSERT_TRUE(proxy.flush().ok());
-  EXPECT_EQ(to_string(*proxy.take(good)), "fine");
-  EXPECT_EQ(proxy.take(bad).error(), Errc::access_denied);
-  EXPECT_EQ(proxy.take(missing).error(), Errc::invalid_argument);
+  auto events = by_id(proxy);
+  EXPECT_EQ(to_string(events.at(good).payload), "fine");
+  EXPECT_EQ(events.at(bad).status, Errc::access_denied);
+  EXPECT_EQ(events.at(missing).status, Errc::invalid_argument);
 }
 
 TEST_F(AsyncRemoteTest, CancelBeforeFlushLeavesChannelHealthy) {
@@ -1096,11 +557,14 @@ TEST_F(AsyncRemoteTest, CancelBeforeFlushLeavesChannelHealthy) {
   const RequestId drop = *proxy.submit("echo", to_bytes("drop"));
   ASSERT_TRUE(proxy.cancel(drop).ok());
   ASSERT_TRUE(proxy.flush().ok());
-  EXPECT_EQ(proxy.take(drop).error(), Errc::cancelled);
-  EXPECT_EQ(to_string(*proxy.take(keep)), "keep");
+  auto events = by_id(proxy);
+  EXPECT_EQ(events.at(drop).status, Errc::cancelled);
+  EXPECT_EQ(to_string(events.at(keep).payload), "keep");
   EXPECT_EQ(server_calls_, 1);
   // Cancellation left no hole in the record sequence: further traffic works.
-  EXPECT_EQ(to_string(*proxy.call("echo", to_bytes("after"))), "after");
+  const RequestId after = *proxy.submit("echo", to_bytes("after"));
+  ASSERT_TRUE(proxy.flush().ok());
+  EXPECT_EQ(to_string(by_id(proxy).at(after).payload), "after");
 }
 
 TEST_F(AsyncRemoteTest, DepthBoundRejectsExcessSubmissions) {
@@ -1122,9 +586,10 @@ TEST_F(AsyncRemoteTest, TransportFailureCompletesEveryInFlightRequest) {
   const RequestId a = *proxy.submit("echo", to_bytes("a"));
   const RequestId b = *proxy.submit("echo", to_bytes("b"));
   ASSERT_TRUE(proxy.flush().ok());
-  EXPECT_EQ(proxy.take(a).error(), Errc::io_error);
-  EXPECT_EQ(proxy.take(b).error(), Errc::io_error);
   EXPECT_EQ(proxy.pending(), 0u);
+  auto events = by_id(proxy);
+  EXPECT_EQ(events.at(a).status, Errc::io_error);
+  EXPECT_EQ(events.at(b).status, Errc::io_error);
 }
 
 TEST_F(AsyncRemoteTest, TamperedBurstRecordRefusedByDispatcher) {
@@ -1135,14 +600,83 @@ TEST_F(AsyncRemoteTest, TamperedBurstRecordRefusedByDispatcher) {
         tampered.back()[tampered.back().size() - 1] ^= 0x01;
         return dispatcher_->handle_burst(tampered);
       });
-  ASSERT_TRUE(proxy.submit("echo", to_bytes("x")).ok());
+  const RequestId first = *proxy.submit("echo", to_bytes("x"));
   const RequestId last = *proxy.submit("echo", to_bytes("y"));
-  (void)last;
   // The dispatcher refuses the whole burst (its sequence window broke);
   // the proxy surfaces that as each request's completion.
   ASSERT_TRUE(proxy.flush().ok());
-  EXPECT_EQ(proxy.take(1).error(), Errc::verification_failed);
-  EXPECT_EQ(proxy.take(2).error(), Errc::verification_failed);
+  auto events = by_id(proxy);
+  EXPECT_EQ(events.at(first).status, Errc::verification_failed);
+  EXPECT_EQ(events.at(last).status, Errc::verification_failed);
+}
+
+TEST_F(AsyncRemoteTest, TamperedReplyRecordCompletesEveryCallOnce) {
+  AsyncRemoteProxy proxy = mangled_proxy(
+      [](std::vector<Bytes>& replies) { replies.front().back() ^= 0x01; });
+  std::vector<RequestId> ids;
+  for (int i = 0; i < 3; ++i)
+    ids.push_back(*proxy.submit("echo", to_bytes("r" + std::to_string(i))));
+  EXPECT_TRUE(proxy.flush().ok());
+  EXPECT_EQ(proxy.pending(), 0u);
+  EXPECT_TRUE(proxy.flush().ok());  // nothing left to seal again
+  EXPECT_EQ(server_calls_, 3);
+  const InvocationCounters m = proxy.metrics();
+  EXPECT_EQ(m.submitted, 3u);
+  EXPECT_EQ(m.submitted, m.completed + m.cancelled);
+  // The first reply does not open, so the receive sequence is broken and
+  // no reply of the burst can be trusted: every call fails, none is lost.
+  auto events = by_id(proxy);
+  ASSERT_EQ(events.size(), 3u);
+  for (const RequestId id : ids)
+    EXPECT_EQ(events.at(id).status, Errc::verification_failed);
+}
+
+TEST_F(AsyncRemoteTest, ShortReplyBurstNeverResendsSealedCalls) {
+  AsyncRemoteProxy proxy = mangled_proxy(
+      [](std::vector<Bytes>& replies) { replies.pop_back(); });
+  std::vector<RequestId> ids;
+  for (int i = 0; i < 3; ++i)
+    ids.push_back(*proxy.submit("echo", to_bytes("r" + std::to_string(i))));
+  EXPECT_TRUE(proxy.flush().ok());
+  EXPECT_EQ(proxy.pending(), 0u);
+  // Nothing is left to seal again: the peer must not run any call twice.
+  EXPECT_TRUE(proxy.flush().ok());
+  EXPECT_EQ(server_calls_, 3);
+  const InvocationCounters m = proxy.metrics();
+  EXPECT_EQ(m.submitted, 3u);
+  EXPECT_EQ(m.submitted, m.completed + m.cancelled);
+  auto events = by_id(proxy);
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(to_string(events.at(ids[0]).payload), "r0");
+  EXPECT_EQ(to_string(events.at(ids[1]).payload), "r1");
+  EXPECT_EQ(events.at(ids[2]).status, Errc::io_error);  // its reply is gone
+}
+
+TEST_F(AsyncRemoteTest, ForeignAndRepeatedReplyIdsAreDropped) {
+  // The peer answers the one call, then seals two more authentic replies:
+  // a repeat of that call's id and an id never sent. Both open, neither
+  // completes anything.
+  const auto reply_for = [](RequestId id, const std::string& body) {
+    Bytes plain = {static_cast<std::uint8_t>(id >> 24),
+                   static_cast<std::uint8_t>(id >> 16),
+                   static_cast<std::uint8_t>(id >> 8),
+                   static_cast<std::uint8_t>(id), 0 /* Errc::ok */};
+    const Bytes payload = to_bytes(body);
+    plain.insert(plain.end(), payload.begin(), payload.end());
+    return plain;
+  };
+  AsyncRemoteProxy proxy =
+      mangled_proxy([this, &reply_for](std::vector<Bytes>& replies) {
+        replies.push_back(*server_->seal_record(reply_for(1, "repeat")));
+        replies.push_back(*server_->seal_record(reply_for(999, "foreign")));
+      });
+  const RequestId a = *proxy.submit("echo", to_bytes("a"));
+  ASSERT_EQ(a, 1u);
+  ASSERT_TRUE(proxy.flush().ok());
+  auto events = by_id(proxy);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(to_string(events.at(a).payload), "a");
+  EXPECT_EQ(proxy.metrics().completed, 1u);
 }
 
 TEST_F(AsyncRemoteTest, ReapDrainsCompletedEventsInOrder) {
@@ -1183,14 +717,6 @@ TEST_F(AsyncRemoteTest, AdaptiveAutoFlushRingsAtDepthTarget) {
   EXPECT_EQ(proxy.metrics().doorbells, 1u);
 }
 
-TEST_F(AsyncRemoteTest, WaitFlushesImplicitly) {
-  AsyncRemoteProxy proxy = make_proxy();
-  const RequestId id = *proxy.submit("echo", to_bytes("lazy"));
-  EXPECT_EQ(proxy.take(id).error(), Errc::would_block);  // not flushed yet
-  EXPECT_EQ(to_string(*proxy.wait(id)), "lazy");
-  EXPECT_EQ(proxy.take(999).error(), Errc::invalid_argument);
-}
-
 // ---------------------------------------------------------------------------
 // The batched path behaves identically on every capable substrate — same
 // conformance posture as substrate_conformance_test.cpp.
@@ -1226,15 +752,19 @@ class BatchedPathConformance : public ::testing::TestWithParam<std::string> {
 };
 
 TEST_P(BatchedPathConformance, BatchRoundTrip) {
-  BatchChannel batch(*substrate_, client_, channel_);
+  CompletionQueue cq(*substrate_, client_, channel_);
   std::vector<SubmissionId> ids;
   for (int i = 0; i < 8; ++i)
-    ids.push_back(*batch.submit(to_bytes("m" + std::to_string(i))));
-  ASSERT_TRUE(batch.flush().ok());
-  for (int i = 0; i < 8; ++i) {
-    auto reply = batch.wait(ids[static_cast<std::size_t>(i)]);
-    ASSERT_TRUE(reply.ok());
-    EXPECT_EQ(to_string(*reply), "m" + std::to_string(i) + "!");
+    ids.push_back(*cq.submit(to_bytes("m" + std::to_string(i))));
+  ASSERT_TRUE(cq.doorbell().ok());
+  auto events = cq.reap();
+  ASSERT_TRUE(events.ok());
+  ASSERT_EQ(events->size(), 8u);
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ((*events)[i].id, ids[i]);
+    ASSERT_TRUE((*events)[i].ok()) << GetParam();
+    EXPECT_EQ(to_string((*events)[i].payload),
+              "m" + std::to_string(i) + "!");
   }
 }
 
@@ -1244,11 +774,10 @@ TEST_P(BatchedPathConformance, BatchingAmortizesTheCrossing) {
     ASSERT_TRUE(substrate_->call(client_, channel_, to_bytes("ping")).ok());
   const Cycles sync_cost = substrate_->machine().now() - before_sync;
 
-  BatchChannel batch(*substrate_, client_, channel_);
-  for (int i = 0; i < 32; ++i)
-    ASSERT_TRUE(batch.submit(to_bytes("ping")).ok());
+  CompletionQueue cq(*substrate_, client_, channel_);
+  for (int i = 0; i < 32; ++i) ASSERT_TRUE(cq.submit(to_bytes("ping")).ok());
   const Cycles before_batch = substrate_->machine().now();
-  ASSERT_TRUE(batch.flush().ok());
+  ASSERT_TRUE(cq.doorbell().ok());
   const Cycles batch_cost = substrate_->machine().now() - before_batch;
 
   ASSERT_GT(batch_cost, 0u);
@@ -1262,18 +791,20 @@ TEST_P(BatchedPathConformance, LosslessUnderCancelAndDeadline) {
   // expired on every substrate regardless of its setup costs.
   ASSERT_TRUE(substrate_->call(client_, channel_, to_bytes("warm")).ok());
   ASSERT_GT(substrate_->machine().now(), 1u);
-  BatchChannel batch(*substrate_, client_, channel_, {.depth = 8});
+  CompletionQueueConfig cfg;
+  cfg.depth = 8;
+  cfg.adaptive.max_batch = 8;
+  CompletionQueue cq(*substrate_, client_, channel_, cfg);
   std::vector<SubmissionId> ids;
   for (int i = 0; i < 6; ++i)
-    ids.push_back(*batch.submit(to_bytes("x"), {.deadline = (i == 5)
-                                                    ? Cycles{1}
-                                                    : Cycles{0}}));
-  ASSERT_TRUE(batch.cancel(ids[0]).ok());
-  ASSERT_TRUE(batch.flush().ok());
-  std::size_t drained = 0;
-  while (batch.next_completion().ok()) ++drained;
-  EXPECT_EQ(drained, 6u);
-  const InvocationCounters& m = batch.metrics();
+    ids.push_back(*cq.submit(to_bytes("x"), {.deadline = (i == 5)
+                                                 ? Cycles{1}
+                                                 : Cycles{0}}));
+  ASSERT_TRUE(cq.cancel(ids[0]).ok());
+  auto events = cq.reap();
+  ASSERT_TRUE(events.ok());
+  EXPECT_EQ(events->size(), 6u);
+  const InvocationCounters m = cq.metrics();
   EXPECT_EQ(m.submitted, m.completed + m.cancelled + m.timed_out);
   EXPECT_EQ(m.cancelled, 1u);
   EXPECT_EQ(m.timed_out, 1u);
@@ -1281,7 +812,9 @@ TEST_P(BatchedPathConformance, LosslessUnderCancelAndDeadline) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBatchedSubstrates, BatchedPathConformance,
-                         ::testing::Values("microkernel", "trustzone", "sgx"),
+                         ::testing::Values("microkernel", "trustzone", "sgx",
+                                           "tpm", "ftpm", "sep", "cheri",
+                                           "noc"),
                          [](const auto& info) { return info.param; });
 
 }  // namespace
