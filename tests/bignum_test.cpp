@@ -182,6 +182,75 @@ TEST(Bignum, PowModKnownValues) {
   EXPECT_EQ(Bignum(7).powmod(Bignum(5), Bignum(1)), Bignum());   // mod 1
 }
 
+// Right-to-left square-and-multiply on plain products and remainders: the
+// reference every powmod result is checked against.
+Bignum reference_powmod(const Bignum& base, const Bignum& exponent,
+                        const Bignum& m) {
+  Bignum r = Bignum(1) % m;
+  Bignum b = base % m;
+  for (std::size_t i = 0; i < exponent.bit_length(); ++i) {
+    if (exponent.bit(i)) r = (r * b) % m;
+    b = (b * b) % m;
+  }
+  return r;
+}
+
+// A modulus of exactly `limbs` 32-bit limbs with the given parity; every
+// third one has a tiny top limb.
+Bignum modulus_with_limbs(util::Xoshiro& rng, std::size_t limbs, bool odd) {
+  Bytes raw = rng.bytes(4 * limbs);
+  raw[3] |= 1;  // top limb nonzero
+  if (rng.below(3) == 0) raw[0] = raw[1] = raw[2] = 0;
+  if (odd) raw.back() |= 1;
+  else raw.back() &= 0xFE;
+  if (limbs == 1 && raw.back() < 2) raw.back() = odd ? 3 : 2;
+  return Bignum::from_bytes(raw);
+}
+
+// A random exponent of exactly `bytes` bytes, top bit set.
+Bignum exponent_with_bytes(util::Xoshiro& rng, std::size_t bytes) {
+  Bytes raw = rng.bytes(bytes);
+  raw[0] |= 0x80;
+  return Bignum::from_bytes(raw);
+}
+
+TEST(Bignum, PowModMatchesSquareAndMultiply) {
+  util::Xoshiro rng(15);
+  std::vector<Bignum> moduli = {Bignum(1), Bignum(2), Bignum(3),
+                                (Bignum(1) << 64) - Bignum(1),
+                                (Bignum(1) << 768) - Bignum(1),
+                                (Bignum(1) << 768) + Bignum(1),
+                                Bignum(1) << 767};
+  for (const std::size_t limbs : {1u, 2u, 3u, 5u, 7u, 24u})
+    for (const bool odd : {true, false})
+      for (int k = 0; k < 3; ++k)
+        moduli.push_back(modulus_with_limbs(rng, limbs, odd));
+
+  std::size_t checked = 0;
+  for (const Bignum& m : moduli) {
+    const std::size_t m_bytes = (m.bit_length() + 7) / 8;
+    const std::vector<Bignum> bases = {
+        Bignum(), Bignum(1), m - Bignum(1), m,
+        Bignum::from_bytes(rng.bytes(m_bytes)) % m,
+        m + Bignum::from_bytes(rng.bytes(m_bytes)),
+        Bignum::from_bytes(rng.bytes(2 * m_bytes + 3))};
+    const std::vector<Bignum> exponents = {
+        Bignum(), Bignum(1), Bignum(2), Bignum(65537),
+        Bignum(1 + rng.below(1u << 20)),
+        exponent_with_bytes(rng, 8),   // 64 bits
+        (Bignum(1) << 64) + exponent_with_bytes(rng, 8),  // 65 bits
+        exponent_with_bytes(rng, 96)};  // 768 bits
+    for (const Bignum& base : bases)
+      for (const Bignum& e : exponents) {
+        EXPECT_EQ(base.powmod(e, m), reference_powmod(base, e, m))
+            << "base " << base.to_hex() << " exp " << e.to_hex() << " mod "
+            << m.to_hex();
+        ++checked;
+      }
+  }
+  EXPECT_EQ(checked, 7u * 8u * moduli.size());
+}
+
 TEST(Bignum, PowModFermat) {
   // a^(p-1) = 1 mod p for prime p and gcd(a,p)=1.
   const Bignum p(1000003);

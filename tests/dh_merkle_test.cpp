@@ -4,6 +4,7 @@
 #include "crypto/dh.h"
 #include "crypto/hmac.h"
 #include "crypto/merkle.h"
+#include "util/hex.h"
 #include "util/rng.h"
 
 namespace lateral::crypto {
@@ -19,6 +20,30 @@ TEST(Dh, SharedSecretAgrees) {
   ASSERT_TRUE(sa.ok());
   ASSERT_TRUE(sb.ok());
   EXPECT_EQ(*sa, *sb);
+}
+
+TEST(Dh, KnownAnswerAgreement) {
+  // Both public values and the shared secret are fixed by the DRBG seed.
+  HmacDrbg drbg(to_bytes("dh-known-answer"));
+  const DhGroup& group = DhGroup::oakley1();
+  const DhKeyPair a = DhKeyPair::generate(group, drbg);
+  const DhKeyPair b = DhKeyPair::generate(group, drbg);
+  EXPECT_EQ(a.public_key.to_hex(),
+            "ba93bb4ba1212d37aa5c4c4b37b7d372bfd6485d25eab1b71d2c9999be8bb28f"
+            "d444c34d4d88410054b9c84a2ad99af3320713e399000347bd674ad13b4d848b"
+            "44b7ebb698df06c505981a6bf28a1a1aef9b723718e92f05213136031b50afba");
+  EXPECT_EQ(b.public_key.to_hex(),
+            "86261f81e5df0df56129e6f66fe23d0c038990f4cd0c313c3f3d75d1241cfa7e"
+            "d3138f7ad27127848b032dc91695088ea1821dbb15a2b33e669668501ac28671"
+            "61e8c4c2317adf17e8e75855d2979c20f198152d563f9803267fda8bf6b548c0");
+  auto secret = dh_shared_secret(group, a.private_key, b.public_key);
+  ASSERT_TRUE(secret.ok());
+  EXPECT_EQ(util::to_hex(*secret),
+            "4ff3f0a1b2e39d6aaaebe5ce74d46bbe90d628e83df6789b0381a9f06e8719dc"
+            "cd5d0ec51bece7ba781f17bf27de10cebb1e77be605a41727a52f67086b4a81b"
+            "006f9ce48fc5358560dc5ea814afac9bb618a2c73ad1770f8cbb03bfceba83eb");
+  EXPECT_EQ(dh_shared_secret(group, b.private_key, a.public_key).value(),
+            *secret);
 }
 
 TEST(Dh, DistinctSessionsDistinctSecrets) {
