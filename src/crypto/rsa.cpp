@@ -84,7 +84,11 @@ RsaKeyPair RsaKeyPair::generate(HmacDrbg& drbg, std::size_t modulus_bits) {
     if (Bignum::gcd(e, phi) != Bignum(1)) continue;
     auto d = e.invmod(phi);
     if (!d) continue;
-    return RsaKeyPair{RsaPublicKey{n, e}, std::move(*d)};
+    Bignum d_p = *d % (p - Bignum(1));
+    Bignum d_q = *d % (q - Bignum(1));
+    Bignum q_inv = q.invmod(p).value();  // distinct primes are coprime
+    return RsaKeyPair{RsaPublicKey{n, e}, std::move(*d), p, q,
+                      std::move(d_p), std::move(d_q), std::move(q_inv)};
   }
 }
 
@@ -92,7 +96,11 @@ Bytes rsa_sign(const RsaKeyPair& key, BytesView message) {
   const std::size_t em_len = (key.pub.n.bit_length() + 7) / 8;
   auto em = encode_message(message, em_len);
   if (!em) throw Error("rsa_sign: modulus too small for encoding");
-  const Bignum sig = em->powmod(key.d, key.pub.n);
+  // Garner: s = s_q + q * (q_inv * (s_p - s_q) mod p).
+  const Bignum s_p = em->powmod(key.d_p, key.p);
+  const Bignum s_q = em->powmod(key.d_q, key.q);
+  const Bignum diff = (s_p + key.p - s_q % key.p) % key.p;
+  const Bignum sig = s_q + key.q_inv.mulmod(diff, key.p) * key.q;
   auto padded = sig.to_bytes_padded(em_len);
   if (!padded) throw Error("rsa_sign: signature width error");
   return *padded;

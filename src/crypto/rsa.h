@@ -32,12 +32,21 @@ struct RsaPublicKey {
 struct RsaKeyPair {
   RsaPublicKey pub;
   Bignum d;  // private exponent
+  // CRT form of d, which signing uses: n = p * q, d_p = d mod (p - 1),
+  // d_q = d mod (q - 1), q_inv = q^-1 mod p.
+  Bignum p;
+  Bignum q;
+  Bignum d_p;
+  Bignum d_q;
+  Bignum q_inv;
 
   /// Generate a fresh key pair with an n of `modulus_bits`.
   static RsaKeyPair generate(HmacDrbg& drbg, std::size_t modulus_bits);
 };
 
-/// Sign SHA-256(message) with PKCS#1 v1.5-style padding.
+/// Sign SHA-256(message) with PKCS#1 v1.5-style padding. The exponentiation
+/// runs mod p and mod q and is recombined by Garner's formula; the result
+/// equals encode(message)^d mod n.
 Bytes rsa_sign(const RsaKeyPair& key, BytesView message);
 
 /// Verify a signature over `message`. Status with
